@@ -371,18 +371,12 @@ impl Partition {
 
     /// Resets every ownership record to `version` with no readers.
     ///
-    /// Called by the configuration-switch protocol *after* quiescence and
-    /// *before* installing the new config word: a granularity change remaps
-    /// addresses onto orecs whose stored versions are stale for their new
-    /// coverage, so every orec is stamped with the current clock — any
-    /// transaction with an older snapshot is then forced to extend (and
-    /// revalidate) or abort on first contact.
-    ///
-    /// Safety of the protocol (not memory safety): during the window in
-    /// which this runs, no transaction holds locks, reader bits or read-set
-    /// entries on this partition — old-config transactions were drained by
-    /// the quiesce and new transactions abort on the switching flag before
-    /// touching any orec.
+    /// Only inside a [quiesce window](crate::stm#the-quiesce-window),
+    /// before it publishes: a granularity change remaps addresses onto
+    /// orecs whose stored versions are stale for their new coverage, so
+    /// every orec is stamped with the current clock — any transaction with
+    /// an older snapshot is then forced to extend (and revalidate) or abort
+    /// on first contact.
     pub(crate) fn reset_orecs(&self, version: u64) {
         use core::sync::atomic::Ordering;
         let word = crate::orec::make_version(version);
@@ -406,6 +400,12 @@ impl Partition {
             s.clear();
         }
         drop(hold);
+        self.clear_overflow();
+    }
+
+    /// Empties the overflow list: its records belong to the history a
+    /// window discards along with the rings.
+    fn clear_overflow(&self) {
         let mut ovf = self.overflow.lock();
         ovf.records.clear();
         ovf.prune_at = 0;
@@ -414,15 +414,8 @@ impl Partition {
 
     /// Replaces the orec table with a fresh one of `count` entries (a
     /// power of two), every record stamped with `version`, and parks the
-    /// old table. The capacity half of [`crate::Stm::resize_orecs`].
-    ///
-    /// # Protocol
-    ///
-    /// Must only be called inside the resize protocol's window: this
-    /// partition's switching flag set *and* quiescence reached, so no
-    /// transaction holds orec pointers, locks, reader bits or read-set
-    /// entries against the old table, and none will look at the table
-    /// until the flag clears (which the caller does strictly afterwards).
+    /// old table. The capacity half of [`crate::Stm::resize_orecs`]; only
+    /// inside a [quiesce window](crate::stm#the-quiesce-window).
     pub(crate) fn install_table(&self, count: usize, version: u64) {
         debug_assert!(count.is_power_of_two());
         let new = alloc_table(count, version);
@@ -448,18 +441,13 @@ impl Partition {
         let old_ring = std::mem::replace(&mut hold.ring, new_ring);
         hold.retired_rings.push(old_ring);
         drop(hold);
-        let mut ovf = self.overflow.lock();
-        ovf.records.clear();
-        ovf.prune_at = 0;
-        self.overflow_len.store(0, Ordering::Release);
-        drop(ovf);
+        self.clear_overflow();
         self.resizes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Replaces the version rings with a fresh (empty) allocation of
     /// `depth` slots per orec and parks the old one. The depth half of
-    /// [`crate::Stm::set_ring_depth`]; same protocol contract as
-    /// [`Partition::install_table`] — only inside a flag→quiesce window.
+    /// [`crate::Stm::set_ring_depth`]; only inside a quiesce window.
     pub(crate) fn install_ring(&self, depth: usize) {
         debug_assert!((config::MIN_RING_DEPTH..=config::MAX_RING_DEPTH).contains(&depth));
         let mut hold = self.tables.lock();
@@ -470,10 +458,7 @@ impl Partition {
         let old_ring = std::mem::replace(&mut hold.ring, new_ring);
         hold.retired_rings.push(old_ring);
         drop(hold);
-        let mut ovf = self.overflow.lock();
-        ovf.records.clear();
-        ovf.prune_at = 0;
-        self.overflow_len.store(0, Ordering::Release);
+        self.clear_overflow();
     }
 
     /// Diagnostic scan of the orec table: `(locked_count, owner_slots,

@@ -17,48 +17,31 @@
 //!
 //! ## Why the hold is safe
 //!
-//! The protocol is the configuration switch's window with the close
-//! deferred to republish (after Khyzha et al., *Safe Privatization in
-//! Transactional Memory* — our quiesce plays the role of their
-//! privatization barrier):
+//! A privatization is a [quiesce window](crate::stm#the-quiesce-window)
+//! held open across user code, with the quiesce as the privatization
+//! barrier of Khyzha et al., *Safe Privatization in Transactional
+//! Memory*. What is specific to it:
 //!
-//! 1. **Flag.** CAS the config word to `old | SWITCHING_BIT |
-//!    PRIVATIZED_BIT`. A failed CAS or an already-set flag reports
-//!    [`PrivatizeError::Contended`] — privatization, configuration
-//!    switches, orec resizes, ring-depth changes and repartitions all
-//!    contend on the *same* bit, so any two of them targeting this
-//!    partition serialize by construction. The extra [`PRIVATIZED_BIT`]
-//!    only classifies the hold (separate collision counters, controller
-//!    back-off); the exclusion is the switching bit's.
-//! 2. **Quiesce.** `bump_epoch_and_quiesce` waits until every registered
-//!    thread is outside a transaction, or inside one that began after the
-//!    epoch bump — and such attempts observe the flag at first touch and
-//!    abort ([`crate::txn`]'s view-creation check; snapshot read-only
-//!    transactions run the same check, see [`crate::snapshot`]). On
-//!    timeout the pre-privatize word is stored back — the partition is
-//!    *exactly* as found, nothing was mutated — and the attempt reports
-//!    [`PrivatizeError::TimedOut`] (debug builds panic, as a stuck
-//!    transaction is a bug worth a backtrace).
-//! 3. **Hold.** From quiescence until republish, no transaction holds (or
-//!    can acquire) locks, reader bits, read-set entries or pinned
-//!    snapshots against this partition: in-flight attempts were drained,
-//!    new ones abort on the flag. The guard's owner is therefore the only
-//!    code touching the partition's cells, and plain `load_direct` /
+//! 1. **Flag.** The window also sets [`PRIVATIZED_BIT`]. That bit only
+//!    classifies the hold (separate collision counters, controller
+//!    back-off); the exclusion is the switching bit's, so privatization
+//!    and every other control-plane action on the partition serialize by
+//!    construction.
+//! 2. **Hold.** From the drain until republish, the guard's owner is the
+//!    only code touching the partition's cells, so plain `load_direct` /
 //!    `store_direct` accesses are data-race-free without any orec
 //!    traffic. The guard is a plain value — not `Clone` — so exactly one
 //!    owner exists, and it keeps the partition's `Arc` alive.
-//! 4. **Republish.** Advance the global clock and stamp every orec with
-//!    the *new* time, clearing the version rings and the overflow list in
-//!    place (`Partition::reset_orecs`); then store `encode(decode(old),
-//!    generation(old)+1)`, clearing both flags. Ordering matters: the
-//!    stamps are published *before* the flag clears, so the first
-//!    transactional read of any privately-written cell finds an orec
-//!    version strictly greater than any read version issued before the
-//!    window and is forced to extend — and the extension's validation
-//!    happens against cells the private phase has fully finished writing.
-//!    Long-running transactions that never touched this partition may
-//!    continue across the hold; they are ordered after the private phase
-//!    by exactly that forced extension on first contact.
+//! 3. **Republish.** The window's mutation advances the global clock and
+//!    stamps every orec with the *new* time, clearing the version rings
+//!    and the overflow list (`Partition::reset_orecs`), before the flags
+//!    clear. The first transactional read of any privately-written cell
+//!    then finds an orec version strictly greater than any read version
+//!    issued before the window and is forced to extend — and the
+//!    extension validates against cells the private phase has fully
+//!    finished writing. Long-running transactions that never touched this
+//!    partition may continue across the hold; they are ordered after the
+//!    private phase by exactly that forced extension on first contact.
 //!
 //! Snapshot readers get the same treatment as in a granularity switch or
 //! migration (the "windows discard history" argument in
@@ -91,12 +74,11 @@ use std::time::{Duration, Instant};
 
 use core::sync::atomic::Ordering;
 
-use crate::config;
 use crate::partition::Partition;
 use crate::pvar::PVar;
 use crate::repartition::MigrationSource;
 use crate::rtlog;
-use crate::stm::{bump_epoch_and_quiesce, Stm};
+use crate::stm::{QuiesceWindow, Refused, Stm, SwitchOutcome};
 use crate::telemetry::{self, EventKind};
 use crate::word::TxWord;
 
@@ -110,11 +92,6 @@ pub const HOLD_WARN_THRESHOLD: Duration = Duration::from_secs(1);
 /// Minimum interval between privatization warnings of the same kind
 /// (suppressed calls are counted and folded into the next emission).
 const WARN_INTERVAL: Duration = Duration::from_secs(5);
-
-fn quiesce_limiter() -> &'static rtlog::Limiter {
-    static L: OnceLock<rtlog::Limiter> = OnceLock::new();
-    L.get_or_init(|| rtlog::Limiter::new(WARN_INTERVAL))
-}
 
 fn hold_limiter() -> &'static rtlog::Limiter {
     static L: OnceLock<rtlog::Limiter> = OnceLock::new();
@@ -178,9 +155,17 @@ pub enum PrivatizeError {
     /// privatization) owns the partition's switching flag.
     Contended,
     /// Quiescence was not reached within the runtime's quiesce timeout:
-    /// the privatization was rolled back (release builds only — debug
-    /// builds panic on the stuck transaction).
+    /// the privatization was rolled back.
     TimedOut,
+}
+
+impl From<Refused> for PrivatizeError {
+    fn from(r: Refused) -> Self {
+        match r {
+            Refused::Contended => PrivatizeError::Contended,
+            Refused::TimedOut => PrivatizeError::TimedOut,
+        }
+    }
 }
 
 impl core::fmt::Display for PrivatizeError {
@@ -206,12 +191,11 @@ impl std::error::Error for PrivatizeError {}
 pub struct PrivateGuard {
     stm: Stm,
     part: Arc<Partition>,
-    /// Pre-privatize config word; republish derives gen+1 from it.
-    old: u64,
+    /// The open window; taken by `republish` so the drop hook becomes a
+    /// no-op.
+    window: Option<QuiesceWindow<Arc<Partition>>>,
     /// When the hold began (for the hold-duration warning).
     start: Instant,
-    /// Cleared by `republish` so the drop hook becomes a no-op.
-    active: bool,
 }
 
 impl PrivateGuard {
@@ -286,10 +270,9 @@ impl PrivateGuard {
     }
 
     fn republish_inner(&mut self) {
-        if !self.active {
+        let Some(window) = self.window.take() else {
             return;
-        }
-        self.active = false;
+        };
         let held = self.start.elapsed();
         if held > HOLD_WARN_THRESHOLD {
             hold_limiter().warn(&format!(
@@ -299,20 +282,17 @@ impl PrivateGuard {
                 self.part.name()
             ));
         }
-        // Advance the clock so the reset stamp is *strictly* greater than
-        // every read version issued before the window: the first
-        // transactional contact with any orec of this partition is then
-        // forced to extend (revalidate) past the private phase.
-        let stamp = self.stm.inner.clock.advance();
-        self.part.reset_orecs(stamp);
-        // Tuning deltas must not straddle the hold (the stats saw an
-        // abort storm at the flag plus total silence during the hold).
-        self.part.reset_tuning_window();
-        let word = config::encode(
-            config::decode(self.old),
-            config::generation(self.old).wrapping_add(1),
-        );
-        self.part.config.store(word, Ordering::SeqCst);
+        window.publish(None, || {
+            // Advance the clock so the reset stamp is *strictly* greater
+            // than every read version issued before the window: the first
+            // transactional contact with any orec of this partition is
+            // then forced to extend (revalidate) past the private phase.
+            let stamp = self.stm.inner.clock.advance();
+            self.part.reset_orecs(stamp);
+            // Tuning deltas must not straddle the hold (the stats saw an
+            // abort storm at the flag plus total silence during the hold).
+            self.part.reset_tuning_window();
+        });
         self.part.privatized_at_micros.store(0, Ordering::Release);
         self.part.stats.republishes(0, 1);
         if telemetry::enabled() {
@@ -327,75 +307,6 @@ impl Drop for PrivateGuard {
     fn drop(&mut self) {
         self.republish_inner();
     }
-}
-
-/// The privatization window (see [`Stm::privatize`] for the contract and
-/// the [module docs](self) for the safety argument). Structurally the
-/// flag→quiesce prefix of `switch_partition_impl`, with the mutate+close
-/// suffix deferred into the returned guard's republish.
-pub(crate) fn privatize_impl(
-    stm: &Stm,
-    partition: &Arc<Partition>,
-) -> Result<PrivateGuard, PrivatizeError> {
-    let out = privatize_body(stm, partition);
-    let code = match &out {
-        Ok(_) => telemetry::codes::OUTCOME_SWITCHED,
-        Err(PrivatizeError::Contended) => telemetry::codes::OUTCOME_CONTENDED,
-        Err(PrivatizeError::TimedOut) => telemetry::codes::OUTCOME_TIMED_OUT,
-    };
-    telemetry::control_event(EventKind::Privatize, partition.id().0 as u64, code, 0);
-    out
-}
-
-fn privatize_body(stm: &Stm, partition: &Arc<Partition>) -> Result<PrivateGuard, PrivatizeError> {
-    let inner = &stm.inner;
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return Err(PrivatizeError::Contended);
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT | config::PRIVATIZED_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return Err(PrivatizeError::Contended);
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id().0) {
-        // Roll back: clear both flags, leave config/generation/orecs
-        // exactly as found (nothing was mutated). We own the word while
-        // the flag is set, so a plain store is race-free.
-        partition.config.store(old, Ordering::SeqCst);
-        partition.stats.privatize_rollbacks(0, 1);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "privatization could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
-        }
-        quiesce_limiter().warn(&format!(
-            "privatization of partition '{}' rolled back: quiescence not \
-             reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return Err(PrivatizeError::TimedOut);
-    }
-    partition.stats.privatizations(0, 1);
-    partition
-        .privatized_at_micros
-        .store(telemetry::now_micros().max(1), Ordering::Release);
-    Ok(PrivateGuard {
-        stm: stm.clone(),
-        part: Arc::clone(partition),
-        old,
-        start: Instant::now(),
-        active: true,
-    })
 }
 
 impl Stm {
@@ -415,9 +326,9 @@ impl Stm {
     /// See the [module docs](crate::privatize) for the safety argument.
     ///
     /// Returns [`PrivatizeError::Contended`] without waiting when another
-    /// switch owns the partition, and [`PrivatizeError::TimedOut`]
-    /// (release builds; debug builds panic) when quiescence cannot be
-    /// reached — in both cases the partition is exactly as found.
+    /// switch owns the partition, and [`PrivatizeError::TimedOut`] when
+    /// quiescence cannot be reached — in both cases the partition is
+    /// exactly as found.
     ///
     /// Must not be called from inside a transaction (it would deadlock
     /// the quiesce against the caller's own attempt).
@@ -430,14 +341,34 @@ impl Stm {
             partition.stm_id, self.inner.id,
             "partition belongs to a different Stm"
         );
-        privatize_impl(self, partition)
+        let part = Arc::clone(partition);
+        let window = QuiesceWindow::open(&self.inner, "privatization", vec![part], PRIVATIZED_BIT);
+        let out = window
+            .as_ref()
+            .map_or_else(|r| (*r).into(), |_| SwitchOutcome::Switched);
+        let code = telemetry::outcome_code(out);
+        telemetry::control_event(EventKind::Privatize, partition.id().0 as u64, code, 0);
+        if out == SwitchOutcome::TimedOut {
+            partition.stats.privatize_rollbacks(0, 1);
+        }
+        let window = window?;
+        partition.stats.privatizations(0, 1);
+        partition
+            .privatized_at_micros
+            .store(telemetry::now_micros().max(1), Ordering::Release);
+        Ok(PrivateGuard {
+            stm: self.clone(),
+            part: Arc::clone(partition),
+            window: Some(window),
+            start: Instant::now(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PartitionConfig;
+    use crate::config::{self, PartitionConfig};
 
     #[test]
     fn privatize_sets_both_flags_and_republish_bumps_generation() {

@@ -10,37 +10,27 @@
 //!
 //! ## Protocol
 //!
-//! A repartition generalizes the quiesce protocol to the *set* of involved
-//! partitions (the destination plus every source a migrating variable is
-//! currently bound to):
-//!
-//! 1. **Flag** — acquire the switching flag of every involved partition
-//!    via CAS. Any acquisition failure rolls the already-set flags back
-//!    and returns [`SwitchOutcome::Contended`] (abort-not-spin keeps
-//!    concurrent repartitions deadlock-free).
-//! 2. **Quiesce** — bump the global switch epoch and wait for every
-//!    in-flight transaction begun before the bump to finish; attempts
-//!    begun after the bump observe a switching flag at first touch of any
-//!    involved partition and abort.
-//! 3. **Mutate** — rebind the variables to the destination, stamp every
-//!    involved partition's orec table with the current clock (a migrated
-//!    variable maps onto destination orecs whose stored versions are stale
-//!    for their new coverage), and install every involved partition's
-//!    config word with generation+1, clearing the flags.
-//!
-//! A quiesce timeout rolls everything back ([`SwitchOutcome::TimedOut`],
-//! debug builds panic), leaving bindings untouched — the same
-//! rollback-not-crash contract as the configuration switch.
+//! A repartition is one [quiesce window](crate::stm#the-quiesce-window)
+//! over the destination plus every partition a migrating variable is
+//! currently bound to (and any partition the caller names, such as a
+//! split's source, even if it contributes nothing). Its mutation rebinds
+//! the variables to the destination and stamps every involved partition's
+//! orec table with the current clock: a migrated variable maps onto
+//! destination orecs whose stored versions are stale for their new
+//! coverage. A refused window leaves every binding untouched.
 //!
 //! ## Why rebinding is sound
 //!
-//! Bindings only change inside step 3, strictly before the flags clear.
-//! A transaction that loaded a binding just before the rebind and touches
-//! the stale partition *after* the flags cleared is the one hazardous
-//! interleaving; the engine closes it by re-loading the binding after
-//! first-touch view creation and aborting on mismatch (see
+//! Bindings only change inside the window's mutation, strictly before the
+//! flags clear. A transaction that loaded a binding just before the rebind
+//! and touches the stale partition *after* the flags cleared is the one
+//! hazardous interleaving; the engine closes it by re-loading the binding
+//! after first-touch view creation and aborting on mismatch (see
 //! `Tx::view_of_binding` in `txn.rs`). Every other interleaving either
 //! observes a switching flag (abort) or is ordered by the quiesce itself.
+//! The window must also hold every partition a variable is bound to when
+//! it opens; the re-check in the code below covers a variable that a
+//! concurrent repartition moved elsewhere in the meantime.
 //!
 //! ## Migration sources: flat batches, arenas, collections
 //!
@@ -60,13 +50,10 @@
 
 use std::sync::Arc;
 
-use core::sync::atomic::Ordering;
-
-use crate::config::{self, PartitionConfig};
+use crate::config::PartitionConfig;
 use crate::partition::Partition;
 use crate::pvar::{Migratable, PVarBinding};
-use crate::rtlog;
-use crate::stm::{bump_epoch_and_quiesce, Stm, StmInner, SwitchOutcome};
+use crate::stm::{traced, QuiesceWindow, Refused, Stm, StmInner, SwitchOutcome};
 use crate::telemetry::{self, EventKind};
 
 /// Source of binding cells for one repartition: the protocol flags the
@@ -178,7 +165,7 @@ impl Stm {
     /// If `dst` or any variable's current partition belongs to a different
     /// [`Stm`].
     pub fn migrate_pvars(&self, vars: &[&dyn Migratable], dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition_impl(&self.inner, &VarsSource(vars), dst, &[])
+        repartition(&self.inner, &VarsSource(vars), dst, &[])
     }
 
     /// Atomically rebinds everything a [`MigrationSource`] enumerates —
@@ -194,7 +181,7 @@ impl Stm {
     /// If `dst` or any enumerated binding's current partition belongs to a
     /// different [`Stm`].
     pub fn migrate_batch(&self, src: &dyn MigrationSource, dst: &Arc<Partition>) -> SwitchOutcome {
-        repartition_impl(&self.inner, src, dst, &[])
+        repartition(&self.inner, src, dst, &[])
     }
 
     /// Moves a whole collection (its arena — home, every slot — plus its
@@ -205,7 +192,7 @@ impl Stm {
         c: &dyn MigratableCollection,
         dst: &Arc<Partition>,
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, c, dst, &[])
+        repartition(&self.inner, c, dst, &[])
     }
 
     /// Splits a collection out of its current home: creates a new
@@ -241,7 +228,7 @@ impl Stm {
             "partition belongs to a different Stm"
         );
         let dst = self.new_partition(cfg);
-        let outcome = repartition_impl(&self.inner, src, &dst, &[src_part]);
+        let outcome = repartition(&self.inner, src, &dst, &[src_part]);
         (dst, outcome)
     }
 
@@ -252,7 +239,7 @@ impl Stm {
         dst: &Arc<Partition>,
         src: &dyn MigrationSource,
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, src, dst, srcs)
+        repartition(&self.inner, src, dst, srcs)
     }
 
     /// Splits `src`: creates a new partition from `cfg` and migrates
@@ -274,7 +261,7 @@ impl Stm {
             "partition belongs to a different Stm"
         );
         let dst = self.new_partition(cfg);
-        let outcome = repartition_impl(&self.inner, &VarsSource(vars), &dst, &[src]);
+        let outcome = repartition(&self.inner, &VarsSource(vars), &dst, &[src]);
         (dst, outcome)
     }
 
@@ -288,158 +275,97 @@ impl Stm {
         dst: &Arc<Partition>,
         vars: &[&dyn Migratable],
     ) -> SwitchOutcome {
-        repartition_impl(&self.inner, &VarsSource(vars), dst, srcs)
+        repartition(&self.inner, &VarsSource(vars), dst, srcs)
     }
 }
 
-/// The three-phase repartition (flag / quiesce / mutate). `extra` names
-/// partitions that must participate in the protocol (flag + generation
-/// bump) even when no migrating binding currently points at them.
-fn repartition_impl(
-    inner: &StmInner,
-    src: &dyn MigrationSource,
-    dst: &Arc<Partition>,
-    extra: &[&Arc<Partition>],
-) -> SwitchOutcome {
-    let out = repartition_body(inner, src, dst, extra);
-    if telemetry::enabled() {
-        // Binding count re-enumerated only on the (rare, enabled) control
-        // path; on Switched it equals the number of rebound variables.
-        let mut moved = 0u64;
-        src.for_each_binding(&mut |_| moved += 1);
-        telemetry::control_event(
-            EventKind::Repartition,
-            dst.id().0 as u64,
-            telemetry::outcome_code(out),
-            moved,
-        );
-    }
-    out
-}
-
-fn repartition_body(
+/// One repartition window (see the [module docs](self)). `extra` names
+/// partitions that join the window (flag + generation bump) even when no
+/// migrating binding currently points at them.
+fn repartition(
     inner: &StmInner,
     src: &dyn MigrationSource,
     dst: &Arc<Partition>,
     extra: &[&Arc<Partition>],
 ) -> SwitchOutcome {
     assert_eq!(dst.stm_id, inner.id, "partition belongs to a different Stm");
-    let mut involved: Vec<Arc<Partition>> = Vec::with_capacity(extra.len() + 2);
-    involved.push(Arc::clone(dst));
-    for p in extra {
-        assert_eq!(p.stm_id, inner.id, "partition belongs to a different Stm");
-        involved.push(Arc::clone(p));
+    // The event's argument: the number of variables to rebind, counted
+    // only on the (rare, enabled) telemetry path.
+    let mut moved = 0u64;
+    if telemetry::enabled() {
+        src.for_each_binding(&mut |_| moved += 1);
     }
-    let mut all_in_dst = true;
-    src.for_each_binding(&mut |b| {
-        let p = b.partition_arc();
-        assert_eq!(p.stm_id, inner.id, "variable bound to a different Stm");
-        all_in_dst &= Arc::ptr_eq(&p, dst);
+    traced(EventKind::Repartition, dst.id(), moved, || {
+        let mut involved: Vec<Arc<Partition>> = vec![Arc::clone(dst)];
         // Dedup on insertion: a whole-arena source enumerates thousands of
         // bindings that resolve to a handful of partitions, so membership
         // in the (tiny) involved set is cheaper than collecting one Arc
         // clone per field and deduplicating afterwards.
-        if !involved.iter().any(|q| Arc::ptr_eq(q, &p)) {
-            involved.push(p);
+        let mut add = |p: Arc<Partition>| {
+            if !involved.iter().any(|q| Arc::ptr_eq(q, &p)) {
+                involved.push(p);
+            }
+        };
+        for p in extra {
+            assert_eq!(p.stm_id, inner.id, "partition belongs to a different Stm");
+            add(Arc::clone(p));
         }
-    });
-    // Canonical flag-acquisition order (ids are unique per partition).
-    involved.sort_by_key(|p| p.id());
-    involved.dedup_by(|a, b| Arc::ptr_eq(a, b));
-    if all_in_dst && involved.len() == 1 {
-        return SwitchOutcome::Unchanged;
-    }
-
-    // Phase 1: flag every involved partition; roll back on any contention.
-    let mut held: Vec<(usize, u64)> = Vec::with_capacity(involved.len());
-    let unflag = |held: &[(usize, u64)]| {
-        for &(j, w) in held {
-            involved[j].config.store(w, Ordering::SeqCst);
+        let mut all_in_dst = true;
+        src.for_each_binding(&mut |b| {
+            let p = b.partition_arc();
+            assert_eq!(p.stm_id, inner.id, "variable bound to a different Stm");
+            all_in_dst &= Arc::ptr_eq(&p, dst);
+            add(p);
+        });
+        if all_in_dst && involved.len() == 1 {
+            return Ok(SwitchOutcome::Unchanged);
         }
-    };
-    for (i, p) in involved.iter().enumerate() {
-        let old = p.config.load(Ordering::SeqCst);
-        let contended = config::is_switching(old)
-            || p.config
-                .compare_exchange(
-                    old,
-                    old | config::SWITCHING_BIT,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                )
-                .is_err();
-        if contended {
-            unflag(&held);
-            return SwitchOutcome::Contended;
+        let parts = involved.iter().map(|p| &**p).collect();
+        let window = QuiesceWindow::open(inner, "repartition", parts, 0)?;
+        // Re-validate every binding under the flags: a concurrent
+        // repartition may have moved a variable *between our initial
+        // binding read and our flag acquisition*, to a partition outside
+        // the flagged set — proceeding would rebind a variable whose
+        // current partition never quiesced. Once every binding is
+        // confirmed inside the flagged set this cannot recur: any later
+        // rebind of these variables needs the switching flag of their
+        // current partition, which we hold. (A bound arena can *grow* new
+        // slots concurrently, but those bind to its home, which is in the
+        // flagged set — and the arena's own chunk-install re-check covers
+        // slots built against a pre-rebind home.)
+        let mut escaped = false;
+        src.for_each_binding(&mut |b| {
+            let p = b.load();
+            escaped |= !involved.iter().any(|q| Arc::as_ptr(q) == p);
+        });
+        if escaped {
+            return Err(Refused::Contended);
         }
-        held.push((i, old));
-    }
-
-    // Re-validate every binding now that the flags are held: a concurrent
-    // repartition may have moved a variable *between our initial binding
-    // read and our flag acquisition*, to a partition outside the flagged
-    // set — proceeding would rebind a variable whose current partition
-    // never quiesced. Once every binding is confirmed inside the flagged
-    // set this cannot recur: any later rebind of these variables needs the
-    // switching flag of their current partition, which we hold. (A bound
-    // arena can *grow* new slots concurrently, but those bind to its home,
-    // which is in the flagged set — and the arena's own chunk-install
-    // re-check covers slots built against a pre-rebind home.)
-    let mut escaped = false;
-    src.for_each_binding(&mut |b| {
-        let p = b.load();
-        escaped |= !involved.iter().any(|q| Arc::as_ptr(q) == p);
-    });
-    if escaped {
-        unflag(&held);
-        return SwitchOutcome::Contended;
-    }
-
-    // Phase 2: epoch bump + quiesce.
-    if !bump_epoch_and_quiesce(inner, dst.id().0) {
-        unflag(&held);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "repartition could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
-        }
-        rtlog::warn(&format!(
-            "repartition into '{}' ({} partitions involved) rolled back: \
-             quiescence not reached in {timeout:?} (stuck \
-             transaction?); retryable",
-            dst.name(),
-            involved.len()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-
-    // Phase 3: rebind, reset orecs, install generation+1 (flags clear).
-    src.for_each_binding(&mut |b| b.rebind(dst));
-    let now = inner.clock.now();
-    for &(j, w) in &held {
-        let p = &involved[j];
-        p.reset_orecs(now);
-        // Restart the tuner's observation window: post-repartition deltas
-        // must not straddle the structural change (a freshly split hot
-        // partition otherwise inherits a half-window of cold history — the
-        // tuner/controller cooperation contract, see `Partition::
-        // reset_tuning_window` and the same call in `resize_orecs`).
-        p.reset_tuning_window();
-        p.config.store(
-            config::encode(config::decode(w), config::generation(w).wrapping_add(1)),
-            Ordering::SeqCst,
-        );
-    }
-    SwitchOutcome::Switched
+        window.publish(None, || {
+            src.for_each_binding(&mut |b| b.rebind(dst));
+            let now = inner.clock.now();
+            for p in &involved {
+                p.reset_orecs(now);
+                // Restart the tuner's observation window: post-repartition
+                // deltas must not straddle the structural change (a freshly
+                // split hot partition otherwise inherits a half-window of
+                // cold history — the tuner/controller cooperation contract,
+                // see `Partition::reset_tuning_window` and the same call in
+                // `resize_orecs`).
+                p.reset_tuning_window();
+            }
+        });
+        Ok(SwitchOutcome::Switched)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config;
     use crate::pvar::PVar;
     use crate::stm::Stm;
+    use core::sync::atomic::Ordering;
 
     fn as_dyn<T: crate::word::TxWord + Send + Sync>(v: &PVar<T>) -> &dyn Migratable {
         v

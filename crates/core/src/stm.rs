@@ -1,7 +1,48 @@
 //! The STM runtime: thread registration, partition creation and the
-//! configuration-switch (quiesce) protocol.
+//! quiesce window every control-plane action runs in.
+//!
+//! ## The quiesce window
+//!
+//! Every control-plane action changes partitions under live traffic
+//! through one protocol: a configuration switch, an orec resize and a
+//! ring-depth change ([`Stm::switch_partition`], [`Stm::resize_orecs`],
+//! [`Stm::set_ring_depth`]) open it on one partition, a repartition
+//! ([`crate::repartition`]) on the destination plus every source, and a
+//! privatization ([`crate::privatize`]) keeps it open across user code.
+//!
+//! 1. **Flag.** Set the switching flag of every partition in the set, in
+//!    ascending id order, by CAS on its config word. A flag that is
+//!    already set means another action owns that partition: the window
+//!    restores the flags it set and reports `Contended`. Abort-not-spin
+//!    keeps two windows from ever waiting on each other. From here on, a
+//!    transaction that first-touches a flagged partition aborts and
+//!    retries ([`crate::txn`]'s view-creation check; snapshot readers run
+//!    the same check, see [`crate::snapshot`]).
+//! 2. **Drain.** Bump the global switch epoch and wait until every
+//!    registered thread has been outside a transaction at least once, or
+//!    is inside one begun after the bump, which observes the flags. A
+//!    drain that misses the quiesce timeout (after the kill rescue, see
+//!    [`StmBuilder::kill_after`]) restores every word as found and
+//!    reports `TimedOut`, in debug and release builds alike.
+//! 3. **Mutate, then clear.** Once the drain is done, no transaction holds
+//!    locks, reader bits, read-set entries, pinned snapshots or table
+//!    pointers on a flagged partition, and none can take them. The action
+//!    mutates (re-stamps orecs, swaps a table or ring, rebinds variables)
+//!    and only *then* stores each word as `encode(cfg, generation + 1)`,
+//!    which clears the flags. No transaction can observe a half-done
+//!    mutation, and the generation bump records the change.
+//!
+//! This is the privatization barrier of Khyzha et al., *Safe
+//! Privatization in Transactional Memory*: setting the flag privatizes
+//! the partitions, the drain is the barrier that waits out every
+//! transaction that might still access them, and clearing the flag
+//! publishes them back to transactional service. Rolling back before
+//! step 3 is always exact, because nothing was mutated yet. A mutation
+//! that panics leaves the flags set: the partitions stay fenced rather
+//! than reopen half-changed.
 
 use core::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -23,10 +64,8 @@ pub const MAX_THREADS: usize = 64;
 /// Default for how long a configuration switch or repartition may wait for
 /// quiescence before the runtime assumes a stuck transaction and gives up
 /// (a healthy workload quiesces in microseconds). Giving up rolls the
-/// switch back and reports [`SwitchOutcome::TimedOut`]; under
-/// `debug_assertions` it panics instead, as a stuck transaction is a bug
-/// worth a backtrace. Override per runtime with
-/// [`StmBuilder::quiesce_timeout`].
+/// switch back and reports [`SwitchOutcome::TimedOut`]. Override per
+/// runtime with [`StmBuilder::quiesce_timeout`].
 pub(crate) const QUIESCE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Result of [`Stm::switch_partition`], [`Stm::resize_orecs`] and of the
@@ -48,7 +87,7 @@ pub enum SwitchOutcome {
     /// Quiescence was not reached within the timeout: the switch was rolled
     /// back (flag cleared, configuration untouched) and may be retried. A
     /// transaction is likely stuck or extremely long-running; the event is
-    /// logged to stderr. Release builds only — debug builds panic here.
+    /// logged to stderr (rate-limited).
     TimedOut,
 }
 
@@ -343,26 +382,20 @@ impl Stm {
         })
     }
 
-    /// Switches a partition to a new dynamic configuration using the
-    /// quiesce protocol, guaranteeing that at no instant do two transactions
-    /// run the partition under different configurations:
-    ///
-    /// 1. set the partition's *switching* flag — transactions that now
-    ///    first-touch the partition abort and retry (abort-not-spin keeps
-    ///    the protocol deadlock-free);
-    /// 2. bump the global switch epoch and wait for every registered thread
-    ///    to be outside a transaction at least once, or inside one that
-    ///    started after the bump (such transactions observe the flag);
-    /// 3. install the new configuration with generation+1 and clear the
-    ///    flag.
+    /// Switches a partition to a new dynamic configuration in a
+    /// [quiesce window](crate::stm#the-quiesce-window), so that at no
+    /// instant do two transactions run the partition under different
+    /// configurations. The window's mutation stamps every orec with the
+    /// current clock: a remapped orec may otherwise carry a version that
+    /// is stale for its new coverage, letting an old-snapshot reader
+    /// accept a value committed after its read version.
     ///
     /// Returns the [`SwitchOutcome`]: [`Unchanged`](SwitchOutcome::Unchanged)
     /// / [`Contended`](SwitchOutcome::Contended) without waiting when there
-    /// is nothing to do or another switch owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — the switch is rolled back
-    /// and retryable, so a stuck transaction degrades tuning instead of
-    /// killing the process.
+    /// is nothing to do or another action owns the partition, and
+    /// [`TimedOut`](SwitchOutcome::TimedOut) when quiescence cannot be
+    /// reached — the switch is rolled back and retryable, so a stuck
+    /// transaction degrades tuning instead of killing the process.
     ///
     /// Must not be called from inside a transaction (the engine invokes it
     /// only between transactions; external callers run it from ordinary
@@ -372,7 +405,7 @@ impl Stm {
             partition.stm_id, self.inner.id,
             "partition belongs to a different Stm"
         );
-        switch_partition_impl(&self.inner, partition, new)
+        self.inner.switch_partition(partition, new)
     }
 
     /// Resizes a partition's orec table in place to `new_count` records
@@ -382,14 +415,12 @@ impl Stm {
     /// orecs mean fewer unrelated addresses aliasing onto the same record
     /// (fewer false conflicts), fewer orecs mean a leaner table.
     ///
-    /// Runs under the same quiesce protocol as [`Stm::switch_partition`]:
-    /// flag → quiesce → install a fresh table stamped with the current
-    /// clock → generation+1, flag clear. A fresh stamped table (rather
-    /// than rehashing old versions, which is impossible — the mapping is
-    /// lossy) forces old-snapshot readers to extend-or-abort on first
+    /// Runs in a [quiesce window](crate::stm#the-quiesce-window) whose
+    /// mutation installs a fresh table stamped with the current clock.
+    /// Rehashing old versions is impossible (the mapping is lossy); the
+    /// fresh stamp forces old-snapshot readers to extend-or-abort on first
     /// contact, exactly as a granularity switch does. The old table is
-    /// parked for pointer liveness; in-flight transactions never observe
-    /// the swap (they were drained, or abort on the flag).
+    /// parked for pointer liveness.
     ///
     /// The partition's tuning window is reset afterwards so an installed
     /// [`TuningPolicy`] evaluates the resized table
@@ -399,10 +430,9 @@ impl Stm {
     /// already has the requested size,
     /// [`Contended`](SwitchOutcome::Contended) when another
     /// switch/resize/repartition owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — the resize is rolled
-    /// back: old table, old versions, old generation, in-flight
-    /// transactions untouched.
+    /// [`TimedOut`](SwitchOutcome::TimedOut) when quiescence cannot be
+    /// reached — the resize is rolled back: old table, old versions, old
+    /// generation, in-flight transactions untouched.
     ///
     /// Must not be called from inside a transaction.
     pub fn resize_orecs(&self, partition: &Partition, new_count: usize) -> SwitchOutcome {
@@ -410,7 +440,31 @@ impl Stm {
             partition.stm_id, self.inner.id,
             "partition belongs to a different Stm"
         );
-        resize_orecs_impl(&self.inner, partition, new_count)
+        let n = new_count
+            .clamp(config::MIN_ORECS, config::MAX_ORECS)
+            .next_power_of_two();
+        traced(
+            EventKind::OrecResize,
+            partition.id,
+            new_count as u64,
+            || {
+                let done = || partition.orec_count() == n;
+                if done() && !config::is_switching(partition.config_word()) {
+                    return Ok(SwitchOutcome::Unchanged);
+                }
+                let window = QuiesceWindow::open(&self.inner, "orec resize", vec![partition], 0)?;
+                // Re-check under the flag: the first size read may have raced
+                // an interleaved resize that already installed `n`.
+                if done() {
+                    return Ok(SwitchOutcome::Unchanged);
+                }
+                window.publish(None, || {
+                    partition.install_table(n, self.inner.clock.now());
+                    partition.reset_tuning_window();
+                });
+                Ok(SwitchOutcome::Switched)
+            },
+        )
     }
 
     /// Changes a partition's version-ring depth *live* (clamped to
@@ -422,18 +476,17 @@ impl Stm {
     /// when [`Partition::overflow_len`] or the `ring_overflow_pushes`
     /// counter stays high. Memory cost: `orec_count × depth × 32` bytes.
     ///
-    /// Runs under the same quiesce protocol as [`Stm::resize_orecs`]:
-    /// flag → quiesce → install a fresh (empty) ring of the new depth →
-    /// generation+1, flag clear. Discarding accumulated history is safe —
-    /// see the migration/resize argument in [`crate::snapshot`] — and
-    /// merely costs post-switch snapshot readers their history until
-    /// writers repopulate it.
+    /// Runs in a [quiesce window](crate::stm#the-quiesce-window) whose
+    /// mutation installs a fresh (empty) ring of the new depth. Discarding
+    /// accumulated history is safe — see the migration/resize argument in
+    /// [`crate::snapshot`] — and merely costs post-switch snapshot readers
+    /// their history until writers repopulate it.
     ///
     /// Returns [`Unchanged`](SwitchOutcome::Unchanged) when the depth is
     /// already the requested one, [`Contended`](SwitchOutcome::Contended)
     /// when another switch owns the partition, and
-    /// [`TimedOut`](SwitchOutcome::TimedOut) (release builds; debug builds
-    /// panic) when quiescence cannot be reached — rolled back, retryable.
+    /// [`TimedOut`](SwitchOutcome::TimedOut) when quiescence cannot be
+    /// reached — rolled back, retryable.
     ///
     /// Must not be called from inside a transaction.
     pub fn set_ring_depth(&self, partition: &Partition, depth: usize) -> SwitchOutcome {
@@ -441,226 +494,169 @@ impl Stm {
             partition.stm_id, self.inner.id,
             "partition belongs to a different Stm"
         );
-        set_ring_depth_impl(&self.inner, partition, depth)
+        let d = depth.clamp(config::MIN_RING_DEPTH, config::MAX_RING_DEPTH);
+        traced(EventKind::RingDepth, partition.id, depth as u64, || {
+            let done = || partition.ring_depth() == d;
+            if done() && !config::is_switching(partition.config_word()) {
+                return Ok(SwitchOutcome::Unchanged);
+            }
+            let window = QuiesceWindow::open(&self.inner, "ring-depth change", vec![partition], 0)?;
+            // Re-check under the flag (same race as the resize path).
+            if done() {
+                return Ok(SwitchOutcome::Unchanged);
+            }
+            window.publish(None, || partition.install_ring(d));
+            Ok(SwitchOutcome::Switched)
+        })
     }
 }
 
-/// The quiesce-based switch protocol (shared by the public API and the
-/// engine's tuning hook). See [`Stm::switch_partition`] for the contract.
-pub(crate) fn switch_partition_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    new: DynConfig,
+impl StmInner {
+    /// [`Stm::switch_partition`] without the ownership check; the tuning
+    /// hook calls it between transactions.
+    pub(crate) fn switch_partition(&self, partition: &Partition, new: DynConfig) -> SwitchOutcome {
+        traced(EventKind::ConfigSwitch, partition.id, 0, || {
+            let word = partition.config_word();
+            if !config::is_switching(word) && config::decode(word) == new {
+                return Ok(SwitchOutcome::Unchanged);
+            }
+            let window = QuiesceWindow::open(self, "switch", vec![partition], 0)?;
+            // Re-check under the flag: a concurrent switch may have
+            // installed `new` since the first read.
+            if partition.current_config() == new {
+                return Ok(SwitchOutcome::Unchanged);
+            }
+            window.publish(Some(new), || partition.reset_orecs(self.clock.now()));
+            Ok(SwitchOutcome::Switched)
+        })
+    }
+}
+
+/// Runs one control-plane action and records its outcome as a `kind`
+/// control event carrying `part`, the outcome code and `arg`.
+pub(crate) fn traced(
+    kind: EventKind,
+    part: PartitionId,
+    arg: u64,
+    action: impl FnOnce() -> Result<SwitchOutcome, Refused>,
 ) -> SwitchOutcome {
-    let out = switch_partition_body(inner, partition, new);
-    telemetry::control_event(
-        EventKind::ConfigSwitch,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        0,
-    );
+    let out = action().unwrap_or_else(SwitchOutcome::from);
+    telemetry::control_event(kind, part.0 as u64, telemetry::outcome_code(out), arg);
     out
 }
 
-fn switch_partition_body(inner: &StmInner, partition: &Partition, new: DynConfig) -> SwitchOutcome {
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if config::decode(old) == new {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        // Roll the switch back: clear the flag so future switches (and
-        // first-touches) proceed, leave config + generation untouched. We
-        // own the word while the flag is set, so a plain store of the
-        // pre-switch word is race-free.
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "partition switch could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+/// Why a [`QuiesceWindow`] did not open. Either way every config word is
+/// exactly as found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Refused {
+    /// Another action holds the switching flag of a partition in the set.
+    Contended,
+    /// The drain missed the quiesce timeout.
+    TimedOut,
+}
+
+impl From<Refused> for SwitchOutcome {
+    fn from(r: Refused) -> Self {
+        match r {
+            Refused::Contended => SwitchOutcome::Contended,
+            Refused::TimedOut => SwitchOutcome::TimedOut,
         }
-        rtlog::warn(&format!(
-            "switch of partition '{}' rolled back: quiescence not reached \
-             in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
     }
-    // Stamp every orec with the current clock before the new configuration
-    // becomes visible: a remapped orec may otherwise carry a version that
-    // is stale for its new coverage, letting an old-snapshot reader accept
-    // a value committed after its read version (see Partition::reset_orecs).
-    partition.reset_orecs(inner.clock.now());
-    let word = config::encode(new, config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
 }
 
-/// The quiesce-based orec-table resize (see [`Stm::resize_orecs`] for the
-/// contract). Structurally the same flag→quiesce→mutate→gen+1 window as
-/// the configuration switch; the mutation installs a fresh table instead
-/// of re-stamping the existing one.
-pub(crate) fn resize_orecs_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    new_count: usize,
-) -> SwitchOutcome {
-    let out = resize_orecs_body(inner, partition, new_count);
-    telemetry::control_event(
-        EventKind::OrecResize,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        new_count as u64,
-    );
-    out
+fn timeout_limiter() -> &'static rtlog::Limiter {
+    static L: std::sync::OnceLock<rtlog::Limiter> = std::sync::OnceLock::new();
+    L.get_or_init(|| rtlog::Limiter::new(Duration::from_secs(5)))
 }
 
-fn resize_orecs_body(inner: &StmInner, partition: &Partition, new_count: usize) -> SwitchOutcome {
-    let n = new_count
-        .clamp(config::MIN_ORECS, config::MAX_ORECS)
-        .next_power_of_two();
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if partition.orec_count() == n {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    // Re-check under the flag: the pre-CAS size read may have raced an
-    // interleaved resize that already installed `n`.
-    if partition.orec_count() == n {
-        partition.config.store(old, Ordering::SeqCst);
-        return SwitchOutcome::Unchanged;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        // Roll back: clear the flag, leave table/versions/config exactly
-        // as found (we mutate nothing before this point).
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "orec resize could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+/// An open [quiesce window](self#the-quiesce-window): the switching flags
+/// of a partition set are held and the drain is done.
+/// [`publish`](QuiesceWindow::publish) runs the action's mutation and
+/// closes the window under generation+1; dropping the window unpublished
+/// rolls every word back.
+#[derive(Debug)]
+pub(crate) struct QuiesceWindow<P: Borrow<Partition>> {
+    /// The flagged partitions in ascending id order, each with its config
+    /// word from before the window.
+    held: Vec<(P, u64)>,
+}
+
+impl<P: Borrow<Partition>> QuiesceWindow<P> {
+    /// Opens a window on `parts` (duplicates are ignored), setting `bits`
+    /// beside the switching flag of each. `parts[0]` names the window in
+    /// telemetry and, with `action`, in the rate-limited timeout warning.
+    pub(crate) fn open(
+        inner: &StmInner,
+        action: &str,
+        mut parts: Vec<P>,
+        bits: u64,
+    ) -> Result<Self, Refused> {
+        let id = |p: &P| p.borrow().id;
+        let lead = id(&parts[0]);
+        parts.sort_by_key(id);
+        parts.dedup_by_key(|p| id(p));
+        let mut window = QuiesceWindow {
+            held: Vec::with_capacity(parts.len()),
+        };
+        for p in parts {
+            let word = &p.borrow().config;
+            let old = word.load(Ordering::SeqCst);
+            let flagged = old | config::SWITCHING_BIT | bits;
+            if config::is_switching(old)
+                || word
+                    .compare_exchange(old, flagged, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_err()
+            {
+                return Err(Refused::Contended);
+            }
+            window.held.push((p, old));
         }
-        rtlog::warn(&format!(
-            "orec resize of partition '{}' rolled back: quiescence not \
-             reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
-    }
-    // Quiesced: no transaction holds pointers into the old table, and new
-    // attempts abort on the flag before touching it. Install the fresh
-    // table stamped with the current clock (same staleness argument as
-    // reset_orecs), then publish generation+1 with the flag clear.
-    partition.install_table(n, inner.clock.now());
-    partition.reset_tuning_window();
-    let word = config::encode(config::decode(old), config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
-}
-
-/// The quiesce-based ring-depth change (see [`Stm::set_ring_depth`] for
-/// the contract). Same flag→quiesce→mutate→gen+1 window as the orec-table
-/// resize; the mutation installs a fresh ring of the new depth.
-pub(crate) fn set_ring_depth_impl(
-    inner: &StmInner,
-    partition: &Partition,
-    depth: usize,
-) -> SwitchOutcome {
-    let out = set_ring_depth_body(inner, partition, depth);
-    telemetry::control_event(
-        EventKind::RingDepth,
-        partition.id.0 as u64,
-        telemetry::outcome_code(out),
-        depth as u64,
-    );
-    out
-}
-
-fn set_ring_depth_body(inner: &StmInner, partition: &Partition, depth: usize) -> SwitchOutcome {
-    let d = depth.clamp(config::MIN_RING_DEPTH, config::MAX_RING_DEPTH);
-    let old = partition.config.load(Ordering::SeqCst);
-    if config::is_switching(old) {
-        return SwitchOutcome::Contended;
-    }
-    if partition.ring_depth() == d {
-        return SwitchOutcome::Unchanged;
-    }
-    if partition
-        .config
-        .compare_exchange(
-            old,
-            old | config::SWITCHING_BIT,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        )
-        .is_err()
-    {
-        return SwitchOutcome::Contended;
-    }
-    // Re-check under the flag (same race as the resize path).
-    if partition.ring_depth() == d {
-        partition.config.store(old, Ordering::SeqCst);
-        return SwitchOutcome::Unchanged;
-    }
-    if !bump_epoch_and_quiesce(inner, partition.id.0) {
-        partition.config.store(old, Ordering::SeqCst);
-        let timeout = inner.quiesce_timeout;
-        if cfg!(debug_assertions) {
-            panic!(
-                "ring-depth change could not quiesce in {timeout:?}: \
-                 a transaction appears stuck"
-            );
+        if !bump_epoch_and_quiesce(inner, lead.0) {
+            let mut held = window.held.iter().map(|(p, _)| p.borrow());
+            let name = held.find(|p| p.id == lead).map_or("", |p| p.name());
+            timeout_limiter().warn(&format!(
+                "{action} of partition '{name}' ({} partition(s) flagged) rolled back: \
+                 quiescence not reached in {:?} (stuck transaction?); retryable",
+                window.held.len(),
+                inner.quiesce_timeout
+            ));
+            return Err(Refused::TimedOut);
         }
-        rtlog::warn(&format!(
-            "ring-depth change of partition '{}' rolled back: quiescence \
-             not reached in {timeout:?} (stuck transaction?); retryable",
-            partition.name()
-        ));
-        return SwitchOutcome::TimedOut;
+        Ok(window)
     }
-    partition.install_ring(d);
-    let word = config::encode(config::decode(old), config::generation(old).wrapping_add(1));
-    partition.config.store(word, Ordering::SeqCst);
-    SwitchOutcome::Switched
+
+    /// Runs `mutate`, then closes the window: each held word becomes
+    /// `encode(cfg, generation + 1)` with its flags clear, where `cfg` is
+    /// `new_cfg` or else the partition's configuration before the window.
+    pub(crate) fn publish(mut self, new_cfg: Option<DynConfig>, mutate: impl FnOnce()) {
+        // Taken before `mutate` so a panicking mutation skips the rollback
+        // in `Drop` and the partitions stay fenced (see the module docs).
+        let held = std::mem::take(&mut self.held);
+        mutate();
+        for (p, old) in held {
+            let cfg = new_cfg.unwrap_or_else(|| config::decode(old));
+            let word = config::encode(cfg, config::generation(old).wrapping_add(1));
+            p.borrow().config.store(word, Ordering::SeqCst);
+        }
+    }
+}
+
+impl<P: Borrow<Partition>> Drop for QuiesceWindow<P> {
+    /// Rolls an unpublished window back: the window owns every flagged
+    /// word, so storing the pre-window word is race-free.
+    fn drop(&mut self) {
+        for (p, old) in &self.held {
+            p.borrow().config.store(*old, Ordering::SeqCst);
+        }
+    }
 }
 
 /// Bumps the global switch epoch and waits for every registered thread to
 /// be outside a transaction at least once, or inside one begun after the
 /// bump (such attempts observe the switching flags set by the caller).
 /// Returns `false` on quiesce timeout — the caller must roll its flags
-/// back. Shared by the single-partition switch and the multi-partition
-/// repartition protocol (see [`crate::repartition`]).
+/// back. Step 2 of the [quiesce window](self#the-quiesce-window); its only
+/// caller is [`QuiesceWindow::open`].
 ///
 /// ## Two-stage deadline (kill-based rescue)
 ///
@@ -680,7 +676,7 @@ fn set_ring_depth_body(inner: &StmInner, partition: &Partition, depth: usize) ->
 ///    attempts begun after the epoch bump satisfy the drain predicate by
 ///    construction, so the set of blockers can only shrink.
 /// 2. **Hard** ([`StmBuilder::quiesce_timeout`]): the window fails and
-///    the caller rolls back, exactly as before — but first
+///    rolls back — but first
 ///    [`report_stuck_slots`] emits one structured diagnostic per
 ///    still-blocking slot (thread slot, attempt serial, held encounter
 ///    locks per partition scan) through [`rtlog`] and the telemetry
@@ -694,7 +690,7 @@ fn set_ring_depth_body(inner: &StmInner, partition: &Partition, depth: usize) ->
 /// aborts-and-retries (counted as `aborts_killed`), and `Tx::begin`
 /// clears the flag before publishing the next serial, so a stale kill
 /// can never leak into a later attempt.
-pub(crate) fn bump_epoch_and_quiesce(inner: &StmInner, tele_part: u32) -> bool {
+fn bump_epoch_and_quiesce(inner: &StmInner, tele_part: u32) -> bool {
     // `tele_part` only attributes the telemetry events below to the
     // partition (or destination) whose window this is; the drain itself is
     // global.

@@ -1516,7 +1516,7 @@ impl<'e, 's> Tx<'e, 's> {
             if let Some(new_cfg) = tuner.evaluate(&input) {
                 // Contended/TimedOut switches are fine to drop here: the
                 // tuner re-evaluates after the next window.
-                let _ = self.stm.switch_partition_inner(&part, new_cfg);
+                let _ = self.stm.switch_partition(&part, new_cfg);
             }
         }
     }
@@ -1608,18 +1608,6 @@ impl ThreadCtx {
                 cm::backoff(attempts, &mut tx.s.rng);
             }
         }
-    }
-}
-
-impl StmInner {
-    /// Internal switch entry point shared by `Stm::switch_partition` and
-    /// the tuning hook. See `Stm::switch_partition` for the protocol.
-    pub(crate) fn switch_partition_inner(
-        &self,
-        partition: &Partition,
-        new: DynConfig,
-    ) -> crate::stm::SwitchOutcome {
-        crate::stm::switch_partition_impl(self, partition, new)
     }
 }
 

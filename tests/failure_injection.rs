@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use partstm::core::{
     fault, Abort, Arena, FaultPlan, FaultSite, Granularity, Handle, MigratableCollection,
-    PartitionConfig, PrivatizeError, ReadMode, Stm, SwitchOutcome, TVar,
+    Partition, PartitionConfig, PrivatizeError, ReadMode, Stm, SwitchOutcome, TVar,
 };
 use partstm::structures::{Bank, THashMap};
 
@@ -201,9 +201,6 @@ fn contended_arena_migration_rolls_back_bindings_and_freelist() {
 /// to finish within the configured window) rolls the whole operation back
 /// — flags cleared, home and every slot binding unchanged, free list
 /// consistent — and the migration succeeds once the straggler commits.
-/// Debug builds panic at the timeout site (a stuck transaction is a bug
-/// worth a backtrace), so the rolled-back state is asserted from under
-/// `catch_unwind`; release builds report `TimedOut` instead.
 #[test]
 fn quiesce_timeout_during_arena_migration_rolls_back() {
     let stm = Stm::builder()
@@ -244,21 +241,7 @@ fn quiesce_timeout_during_arena_migration_rolls_back() {
         while !in_txn.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            stm.migrate_collection(&*map, &b)
-        }));
-        match outcome {
-            // Debug builds: the timeout panics *after* rolling back.
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                assert!(msg.contains("could not quiesce"), "unexpected panic: {msg}");
-            }
-            // Release builds: rolled back and reported.
-            Ok(outcome) => assert_eq!(outcome, SwitchOutcome::TimedOut),
-        }
+        assert_eq!(stm.migrate_collection(&*map, &b), SwitchOutcome::TimedOut);
         assert_eq!(map.partition_of(), a.id(), "home untouched after timeout");
         assert_all_bindings_in(&*map, a.id(), "map");
         assert_eq!(map.live_nodes(), live_before, "free list untouched");
@@ -375,73 +358,86 @@ fn contended_resize_rolls_back_table_exactly() {
     assert_eq!(ctx.run(|tx| tx.read(&x)), 16, "data survives the resize");
 }
 
-/// A quiesce timeout during an orec resize (a straggler transaction
-/// refuses to finish within the window) rolls the resize back — flag
-/// cleared, old table, old versions, old generation — and the straggler
-/// commits exactly as if nothing had happened. Debug builds panic at the
-/// timeout site (after rolling back); release builds report `TimedOut`.
+/// A quiesce timeout during a single-partition window — orec resize,
+/// ring-depth change or configuration switch — while a straggler
+/// transaction refuses to finish rolls the action back: same
+/// configuration and generation, no flag left set, old table and ring.
+/// The straggler commits exactly as if nothing had happened, and the same
+/// action succeeds once it is gone.
 #[test]
 fn quiesce_timeout_during_resize_rolls_back() {
-    let stm = Stm::builder()
-        .quiesce_timeout(Duration::from_millis(100))
-        .build();
-    let a = stm.new_partition(PartitionConfig::named("a").orecs(64));
-    let x = Arc::new(a.tvar(100u64));
-    let count = a.orec_count();
-    let generation = a.generation();
-    let in_txn = Arc::new(AtomicBool::new(false));
+    type Action = fn(&Stm, &Partition) -> SwitchOutcome;
+    let actions: [(&str, Action); 3] = [
+        ("resize_orecs", |stm, p| stm.resize_orecs(p, 4096)),
+        ("set_ring_depth", |stm, p| {
+            stm.set_ring_depth(p, 2 * p.ring_depth())
+        }),
+        ("switch_partition", |stm, p| {
+            let mut cfg = p.current_config();
+            cfg.read_mode = ReadMode::Visible;
+            stm.switch_partition(p, cfg)
+        }),
+    ];
+    for (name, act) in actions {
+        let stm = Stm::builder()
+            .quiesce_timeout(Duration::from_millis(100))
+            .build();
+        let a = stm.new_partition(PartitionConfig::named("a").orecs(64));
+        let x = Arc::new(a.tvar(100u64));
+        let (cfg, generation) = (a.current_config(), a.generation());
+        let (count, depth) = (a.orec_count(), a.ring_depth());
+        let in_txn = Arc::new(AtomicBool::new(false));
 
-    std::thread::scope(|s| {
-        // The straggler: holds one update transaction open well past the
-        // quiesce timeout (sleeping inside a transaction — never do this
-        // in real code; that is the point).
-        {
-            let ctx = stm.register_thread();
-            let (x, in_txn) = (Arc::clone(&x), Arc::clone(&in_txn));
-            s.spawn(move || {
-                let mut slept = false;
-                ctx.run(|tx| {
-                    let v = tx.read(&x)?;
-                    if !slept {
-                        slept = true;
-                        in_txn.store(true, Ordering::Release);
-                        std::thread::sleep(Duration::from_millis(400));
-                    }
-                    tx.write(&x, v + 1)
+        std::thread::scope(|s| {
+            // The straggler: holds one update transaction open well past
+            // the quiesce timeout (sleeping inside a transaction — never
+            // do this in real code; that is the point).
+            {
+                let ctx = stm.register_thread();
+                let (x, in_txn) = (Arc::clone(&x), Arc::clone(&in_txn));
+                s.spawn(move || {
+                    let mut slept = false;
+                    ctx.run(|tx| {
+                        let v = tx.read(&x)?;
+                        if !slept {
+                            slept = true;
+                            in_txn.store(true, Ordering::Release);
+                            std::thread::sleep(Duration::from_millis(400));
+                        }
+                        tx.write(&x, v + 1)
+                    });
                 });
-            });
-        }
-        while !in_txn.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stm.resize_orecs(&a, 4096)));
-        match outcome {
-            // Debug builds: the timeout panics *after* rolling back.
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                assert!(msg.contains("could not quiesce"), "unexpected panic: {msg}");
             }
-            // Release builds: rolled back and reported.
-            Ok(outcome) => assert_eq!(outcome, SwitchOutcome::TimedOut),
-        }
-        assert_eq!(a.orec_count(), count, "old table still installed");
-        assert_eq!(a.generation(), generation, "no generation bump");
-        assert_eq!(a.resize_count(), 0);
-    });
+            while !in_txn.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let outcome = act(&stm, &a);
+            // A no-op resize reports `Contended` while any flag is set. A
+            // leaked flag is cleared before asserting, so the straggler can
+            // finish and the failure is reported instead of hanging here.
+            let probe = stm.resize_orecs(&a, count);
+            if probe != SwitchOutcome::Unchanged {
+                a.debug_force_switch_flag(false);
+            }
+            assert_eq!(outcome, SwitchOutcome::TimedOut, "{name}");
+            assert_eq!(probe, SwitchOutcome::Unchanged, "{name}: no flag left set");
+            assert_eq!(a.current_config(), cfg, "{name}: config untouched");
+            assert_eq!(a.generation(), generation, "{name}: no generation bump");
+            assert_eq!(a.orec_count(), count, "{name}: old table installed");
+            assert_eq!(a.ring_depth(), depth, "{name}: old ring installed");
+            assert_eq!(a.resize_count(), 0, "{name}");
+        });
 
-    // The straggler's transaction committed exactly once despite the
-    // rolled-back resize racing it.
-    assert_eq!(x.load_direct(), 101, "in-flight transaction exact");
+        // The straggler's transaction committed exactly once despite the
+        // rolled-back action racing it.
+        assert_eq!(x.load_direct(), 101, "{name}: in-flight transaction exact");
 
-    // Straggler gone: the same resize now succeeds and the data is fine.
-    assert!(stm.resize_orecs(&a, 4096).switched());
-    assert_eq!(a.orec_count(), 4096);
-    let ctx = stm.register_thread();
-    assert_eq!(ctx.run(|tx| tx.modify(&x, |v| v + 1)), 102);
+        // Straggler gone: the same action now succeeds and the data is fine.
+        assert!(act(&stm, &a).switched(), "{name}: retry lands");
+        assert_eq!(a.generation(), generation + 1, "{name}");
+        let ctx = stm.register_thread();
+        assert_eq!(ctx.run(|tx| tx.modify(&x, |v| v + 1)), 102, "{name}");
+    }
 }
 
 /// A contended privatization (partition already mid-switch) reports
@@ -491,9 +487,7 @@ fn contended_privatize_rolls_back_exactly() {
 /// A quiesce timeout during privatization (a straggler transaction
 /// refuses to finish within the window) rolls the attempt back — flags
 /// cleared, old generation, partition fully transactional — and the
-/// straggler commits exactly as if nothing had happened. Debug builds
-/// panic at the timeout site (after rolling back); release builds report
-/// `TimedOut`.
+/// straggler commits exactly as if nothing had happened.
 #[test]
 fn quiesce_timeout_during_privatize_rolls_back() {
     let stm = Stm::builder()
@@ -527,19 +521,7 @@ fn quiesce_timeout_during_privatize_rolls_back() {
         while !in_txn.load(Ordering::Acquire) {
             std::thread::yield_now();
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stm.privatize(&a)));
-        match outcome {
-            // Debug builds: the timeout panics *after* rolling back.
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
-                assert!(msg.contains("could not quiesce"), "unexpected panic: {msg}");
-            }
-            // Release builds: rolled back and reported.
-            Ok(result) => assert_eq!(result.unwrap_err(), PrivatizeError::TimedOut),
-        }
+        assert_eq!(stm.privatize(&a).unwrap_err(), PrivatizeError::TimedOut);
         assert!(!a.is_privatized(), "flags cleared by the rollback");
         assert_eq!(a.generation(), generation, "no generation bump");
         let st = a.stats();
