@@ -1,7 +1,7 @@
 //! Criterion microbenches for the STM engine's primitive costs:
 //! transactional read/write under both visibilities, read-only vs update
-//! commits, snapshot extension, and the cost profile the paper's tuning
-//! decisions trade against each other.
+//! commits, writes behind a large read set, snapshot extension, and the
+//! cost profile the paper's tuning decisions trade against each other.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -60,6 +60,37 @@ fn bench_writes(c: &mut Criterion) {
                 })
             });
         }
+    }
+    g.finish();
+}
+
+/// N invisible reads, then 16 encounter-time writes to other words, all in
+/// one transaction: what an orec acquisition costs once the read set is
+/// large (the write path of a read-heavy update such as STAMP vacation's).
+fn bench_write_after_reads(c: &mut Criterion) {
+    let mut g = c.benchmark_group("txn_write_after_reads");
+    for n in [16usize, 256, 1024] {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::named("p"));
+        let reads: Vec<TVar<u64>> = (0..n as u64).map(TVar::new).collect();
+        let writes: Vec<TVar<u64>> = (0..16u64).map(TVar::new).collect();
+        let ctx = stm.register_thread();
+        let mut i = 0u64;
+        g.bench_with_input(BenchmarkId::new("w16", n), &n, |b, _| {
+            b.iter(|| {
+                i += 1;
+                ctx.run(|tx| {
+                    let mut s = 0u64;
+                    for v in &reads {
+                        s = s.wrapping_add(tx.read_raw(&p, v)?);
+                    }
+                    for v in &writes {
+                        tx.write_raw(&p, v, s ^ i)?;
+                    }
+                    Ok(())
+                });
+            })
+        });
     }
     g.finish();
 }
@@ -124,6 +155,7 @@ criterion_group!(
     bench_empty_txn,
     bench_reads,
     bench_writes,
+    bench_write_after_reads,
     bench_granularity_mapping,
     bench_read_own_writes
 );

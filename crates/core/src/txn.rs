@@ -10,10 +10,21 @@
 //! * visible reads: reader bit in the orec's bitmap; writers arbitrate
 //!   (kill or yield) at acquisition time; no commit-time validation needed;
 //! * writes: buffered (write-back) with the orec acquired either at
-//!   encounter time or commit time, per the partition's configuration;
+//!   encounter time or commit time, per the partition's configuration.
+//!   Acquisition never scans the read set. If the unlocked word `l` has
+//!   `version_of(l) > rv`, `extend` first validates every entry; else
+//!   every entry on that orec saw exactly `l` (the global-clock argument,
+//!   as in TinySTM). Reads record only versions `<= rv`. A committer
+//!   locks before `clock.advance()` and unlocks with its `wv`, so a commit
+//!   landing after our read leaves a version above every `rv` sampled
+//!   before its lock. A rollback restores the exact word. And once a read
+//!   is recorded, `rv` moves only in `extend` (sample the clock, then
+//!   validate every entry), which aborts on the entry such a commit
+//!   overwrote;
 //! * commit: acquire remaining locks, take `wv` from the clock, validate
 //!   invisible reads (skipped when `rv + 1 == wv`), write back, release
-//!   with `wv`.
+//!   with `wv`. An entry whose orec this attempt holds passes validation
+//!   unread: by the "writes" argument it saw the pre-acquisition word.
 //!
 //! ## Lifetimes
 //!
@@ -949,8 +960,9 @@ impl<'e, 's> Tx<'e, 's> {
                 continue;
             }
             if is_locked(l) && owner_of(l) == self.slot {
-                // Acquired by me after the read; acquisition validated the
-                // version then, and it cannot change while I hold the lock.
+                // Acquired by me after the read: the entry saw the
+                // pre-acquisition word (module docs, "writes"), and it
+                // cannot change while I hold the lock.
                 continue;
             }
             return Err(i);
@@ -981,6 +993,8 @@ impl<'e, 's> Tx<'e, 's> {
                 self.wait_or_fail(ti, orec, AbortKind::WLockConflict, addr)?;
                 continue;
             }
+            // After this, every read entry on the orec saw `l` (module
+            // docs, "writes"), so the read set needs no scan.
             if version_of(l) > self.s.rv {
                 self.extend(ti)?;
             }
@@ -991,17 +1005,6 @@ impl<'e, 's> Tx<'e, 's> {
                 let e = &mut self.s.write_set[wi];
                 e.prev = l;
                 e.acquired_here = true;
-            }
-            // Validate my earlier invisible reads of this orec: they must
-            // have seen exactly the pre-acquisition word. (Classified
-            // against the hint *before* we overwrite it below — the hint
-            // still names the writer whose commit moved the version.)
-            for i in 0..self.s.read_set.len() {
-                let e = &self.s.read_set[i];
-                if e.orec == orec_ptr && e.seen != l {
-                    self.note_failed_entry(ti, i);
-                    return Err(self.fail(ti, AbortKind::Validation));
-                }
             }
             // Publish the acquisition address (aliasing telemetry): the
             // CAS above made this line exclusively ours, so the store is
@@ -1455,23 +1458,20 @@ impl<'e, 's> Tx<'e, 's> {
     /// Extends the snapshot to at least `v` (revalidating the read set) if
     /// it is older. Used by the arena's recycling barrier: a slot freed at
     /// time `v` may only be reused by transactions whose snapshot is `>= v`
-    /// (otherwise the slot is still a live node in their view).
+    /// (otherwise the slot is still a live node in their view). This is
+    /// an ordinary `extend`, charged to the first touched view; with no
+    /// view yet the read set is empty and the snapshot simply advances.
     pub(crate) fn ensure_snapshot_at_least(&mut self, v: u64) -> TxResult<()> {
         if v <= self.s.rv {
             return Ok(());
         }
-        let new_rv = self.stm.clock.now();
-        debug_assert!(new_rv >= v, "free tags never exceed the clock");
-        if self.validate_read_set().is_ok() {
-            self.s.rv = new_rv;
-            Ok(())
+        if self.s.views.is_empty() {
+            self.s.rv = self.stm.clock.now();
         } else {
-            if let Some(t) = self.s.views.first() {
-                t.part.stats.aborts_validation(self.slot, 1);
-            }
-            self.s.engine_fail = true;
-            Err(Abort(()))
+            self.extend(0)?;
         }
+        debug_assert!(self.s.rv >= v, "free tags never exceed the clock");
+        Ok(())
     }
 
     /// Post-commit tuning hook: bump per-partition gates and, when a window
