@@ -1,12 +1,14 @@
 //! Criterion microbenches for the STM engine's primitive costs:
 //! transactional read/write under both visibilities, read-only vs update
-//! commits, writes behind a large read set, snapshot extension, and the
-//! cost profile the paper's tuning decisions trade against each other.
+//! commits, writes behind a large read set, snapshot extension, two
+//! threads sharing one partition, and the cost profile the paper's tuning
+//! decisions trade against each other.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use partstm_core::{Granularity, PartitionConfig, ReadMode, Stm, TVar};
+use partstm_core::{Granularity, PVar, PartitionConfig, ReadMode, Stm, TVar, ThreadCtx};
 
 fn bench_reads(c: &mut Criterion) {
     let mut g = c.benchmark_group("txn_reads");
@@ -150,6 +152,64 @@ fn bench_empty_txn(c: &mut Criterion) {
     });
 }
 
+/// One bank operation on a thread's own accounts.
+type BankOp = fn(&ThreadCtx, &[PVar<i64>]);
+
+/// Snapshot read of eight accounts.
+fn snapshot_read_8r(ctx: &ThreadCtx, accounts: &[PVar<i64>]) {
+    let sum = ctx.snapshot_read(|tx| {
+        let mut s = 0i64;
+        for a in &accounts[..8] {
+            s += tx.read(a)?;
+        }
+        Ok(s)
+    });
+    black_box(sum);
+}
+
+/// Update transaction moving one unit between two accounts.
+fn transfer_2w(ctx: &ThreadCtx, accounts: &[PVar<i64>]) {
+    ctx.run(|tx| {
+        let (from, to) = (&accounts[0], &accounts[1]);
+        let f = tx.read(from)?;
+        let t = tx.read(to)?;
+        tx.write(from, f - 1)?;
+        tx.write(to, t + 1)
+    });
+}
+
+/// One partition, two threads: a helper thread runs the same operation on
+/// its own accounts of the same partition while the bench iterates. The
+/// threads share no data, only the partition, so what this measures
+/// beyond the one-thread cost is the partition metadata the operation
+/// writes (reference count, statistics) moving between cores.
+fn bench_shared_partition(c: &mut Criterion) {
+    let mut g = c.benchmark_group("shared_partition");
+    let ops: [(&str, BankOp); 2] = [
+        ("snapshot_read_8r", snapshot_read_8r),
+        ("transfer_2w", transfer_2w),
+    ];
+    for (label, op) in ops {
+        let stm = Stm::new();
+        let p = stm.new_partition(PartitionConfig::named("p"));
+        let accounts: Vec<PVar<i64>> = (0..16).map(|_| p.tvar(1_000)).collect();
+        let (mine, helpers) = accounts.split_at(8);
+        let ctx = stm.register_thread();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let ctx = stm.register_thread();
+                while !stop.load(Ordering::Relaxed) {
+                    op(&ctx, helpers);
+                }
+            });
+            g.bench_function(BenchmarkId::new("2t", label), |b| b.iter(|| op(&ctx, mine)));
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_empty_txn,
@@ -157,6 +217,7 @@ criterion_group!(
     bench_writes,
     bench_write_after_reads,
     bench_granularity_mapping,
-    bench_read_own_writes
+    bench_read_own_writes,
+    bench_shared_partition
 );
 criterion_main!(benches);

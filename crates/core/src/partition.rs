@@ -150,7 +150,12 @@ pub(crate) fn orec_index(mask: usize, addr: usize, g: Granularity) -> usize {
 }
 
 impl Partition {
-    pub(crate) fn new(id: PartitionId, stm_id: u64, cfg: &PartitionConfig) -> Arc<Self> {
+    pub(crate) fn new(
+        id: PartitionId,
+        stm_id: u64,
+        slots: usize,
+        cfg: &PartitionConfig,
+    ) -> Arc<Self> {
         let n = cfg.orec_count.next_power_of_two().max(1);
         let depth = cfg
             .ring_depth
@@ -182,7 +187,7 @@ impl Partition {
             }),
             resizes: AtomicU64::new(0),
             privatized_at_micros: AtomicU64::new(0),
-            stats: PartitionStats::default(),
+            stats: PartitionStats::new(slots),
             tunable: cfg.tune,
             tune_gate: CachePadded::new(AtomicU64::new(0)),
             tune_state: Mutex::new(TuneState {
@@ -538,7 +543,7 @@ mod tests {
     use crate::config::ReadMode;
 
     fn part(cfg: PartitionConfig) -> Arc<Partition> {
-        Partition::new(PartitionId(3), 7, &cfg)
+        Partition::new(PartitionId(3), 7, 1, &cfg)
     }
 
     #[test]

@@ -72,8 +72,24 @@ impl PVarBinding {
         Self::arc_of(self.load())
     }
 
+    /// Borrows the partition behind `p`, a pointer loaded from this
+    /// binding via [`PVarBinding::load`], for as long as the binding is
+    /// borrowed. The engine's partition views hold exactly this borrow, so
+    /// a transaction touches no reference count (see the `txn` module
+    /// docs, "Partition views").
+    #[inline(always)]
+    pub(crate) fn partition_at(&self, p: *const Partition) -> &Partition {
+        // SAFETY: `p` is this binding's current owning reference, alive
+        // while the binding is, or an earlier one that `rebind` parked in
+        // `RETIRED` for the process lifetime.
+        unsafe { &*p }
+    }
+
     /// Manufactures an owning handle for a pointer previously loaded from
-    /// *some* binding via [`PVarBinding::load`].
+    /// *some* binding via [`PVarBinding::load`]. Off the transaction hot
+    /// path: views borrow instead ([`PVarBinding::partition_at`]); this
+    /// serves the arena and repartition control paths, which keep the
+    /// partition past the borrow.
     pub(crate) fn arc_of(p: *const Partition) -> Arc<Partition> {
         // SAFETY: `p` came from `Arc::into_raw` and its strong count is
         // >= 1 until process exit: the owning reference is either still in

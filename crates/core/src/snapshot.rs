@@ -179,7 +179,7 @@ use crate::config::{self, Granularity};
 use crate::error::{Abort, TxResult};
 use crate::orec::{is_locked, version_of, Orec, RingSlot};
 use crate::partition::{orec_index, Partition};
-use crate::pvar::{PVar, PVarBinding};
+use crate::pvar::PVar;
 use crate::stm::{StmInner, ThreadCtx};
 use crate::tvar::TVar;
 use crate::word::TxWord;
@@ -188,8 +188,8 @@ use crate::word::TxWord;
 /// the engine's partition view (same one-decode-per-attempt soundness
 /// argument, see the `txn` module docs), without the write-side fields.
 pub(crate) struct RoView {
-    part: Arc<Partition>,
-    /// `Arc::as_ptr(&part)`, for lookups.
+    /// The viewed partition, borrowed for the attempt (the `txn` module
+    /// docs, "Partition views"); also the lookup key.
     ptr: *const Partition,
     granularity: Granularity,
     table: *const Orec,
@@ -206,9 +206,19 @@ pub(crate) struct RoView {
 impl core::fmt::Debug for RoView {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RoView")
-            .field("partition", &self.part.id())
+            .field("partition", &self.ptr)
             .field("generation", &self.generation)
             .finish_non_exhaustive()
+    }
+}
+
+impl RoView {
+    /// The viewed partition. Dereferenced only inside the
+    /// `snapshot_read` call that created the view.
+    #[inline(always)]
+    fn part(&self) -> &Partition {
+        // SAFETY: the `txn` module docs, "Partition views".
+        unsafe { &*self.ptr }
     }
 }
 
@@ -284,14 +294,14 @@ impl<'e, 's> ReadTx<'e, 's> {
         #[cfg(debug_assertions)]
         for v in self.views.iter() {
             debug_assert_eq!(
-                config::generation(v.part.config_word()),
+                config::generation(v.part().config_word()),
                 v.generation,
                 "partition config switched mid-snapshot (quiesce protocol violated)"
             );
         }
         self.end_slot();
         for v in self.views.iter_mut() {
-            let st = &v.part.stats;
+            let st = &v.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             st.ro_commits(self.slot, 1);
@@ -306,12 +316,12 @@ impl<'e, 's> ReadTx<'e, 's> {
         self.end_slot();
         if self.restart == Restart::User {
             if let Some(v) = self.views.first() {
-                v.part.stats.aborts_user(self.slot, 1);
-                v.part.stats.snapshot_restarts(self.slot, 1);
+                v.part().stats.aborts_user(self.slot, 1);
+                v.part().stats.snapshot_restarts(self.slot, 1);
             }
         }
         for v in self.views.iter() {
-            let st = &v.part.stats;
+            let st = &v.part().stats;
             st.starts(self.slot, 1);
             st.reads(self.slot, v.reads as u64);
             st.snapshot_reads(self.slot, v.reads as u64);
@@ -322,11 +332,11 @@ impl<'e, 's> ReadTx<'e, 's> {
     /// Resolves (or creates) the view for a partition. A set switching
     /// flag restarts the attempt — abort-not-spin, so the switcher waiting
     /// for our quiescence is never deadlocked (module docs).
-    fn view_of(&mut self, part: *const Partition) -> Result<u16, Abort> {
-        if let Some(i) = self.views.iter().position(|v| v.ptr == part) {
+    fn view_of(&mut self, part: &'e Partition) -> Result<u16, Abort> {
+        let ptr: *const Partition = part;
+        if let Some(i) = self.views.iter().position(|v| v.ptr == ptr) {
             return Ok(i as u16);
         }
-        let part = PVarBinding::arc_of(part);
         assert_eq!(
             part.stm_id, self.stm.id,
             "partition belongs to a different Stm"
@@ -347,9 +357,7 @@ impl<'e, 's> ReadTx<'e, 's> {
         let (table, mask) = part.table_view();
         let (ring, ring_depth) = part.ring_view();
         let cfg = config::decode(word);
-        let ptr = Arc::as_ptr(&part);
         self.views.push(RoView {
-            part,
             ptr,
             granularity: cfg.granularity,
             table,
@@ -367,19 +375,14 @@ impl<'e, 's> ReadTx<'e, 's> {
     #[inline]
     pub fn read<T: TxWord>(&mut self, var: &'e PVar<T>) -> TxResult<T> {
         let ptr = var.binding.load();
-        let vi = self.view_of(ptr)?;
+        let vi = self.view_of(var.binding.partition_at(ptr))?;
         // Binding recheck, exactly as the regular bound tier: a changed
         // pointer means the load straddled a completing migration — the
         // attempt restarts as if it had caught the switching flag itself.
         if var.binding.load() != ptr {
-            self.views[vi as usize]
-                .part
-                .stats
-                .snapshot_restarts(self.slot, 1);
-            self.views[vi as usize]
-                .part
-                .stats
-                .aborts_switching(self.slot, 1);
+            let st = &self.views[vi as usize].part().stats;
+            st.snapshot_restarts(self.slot, 1);
+            st.aborts_switching(self.slot, 1);
             self.restart = Restart::Attributed;
             return Err(Abort(()));
         }
@@ -394,7 +397,7 @@ impl<'e, 's> ReadTx<'e, 's> {
         part: &'e Arc<Partition>,
         var: &'e TVar<T>,
     ) -> TxResult<T> {
-        let vi = self.view_of(Arc::as_ptr(part))?;
+        let vi = self.view_of(part)?;
         self.read_at(vi, var)
     }
 
@@ -515,8 +518,8 @@ impl<'e, 's> ReadTx<'e, 's> {
                 // overflow record found after an unprotected gap could
                 // otherwise shadow a smaller-stamped ring record published
                 // into the gap (the second marching variant; module docs).
-                if v.part.overflow_len() > 0 {
-                    if let Some((val, to)) = v.part.overflow_best(addr, t) {
+                if v.part().overflow_len() > 0 {
+                    if let Some((val, to)) = v.part().overflow_best(addr, t) {
                         if best.is_none_or(|(bt, _)| to < bt) {
                             best = Some((to, val));
                         }

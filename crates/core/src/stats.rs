@@ -2,76 +2,104 @@
 //!
 //! The runtime tuner's decisions are driven entirely by these counters, so
 //! collection must be cheap: threads accumulate into per-transaction local
-//! counters and flush once per transaction into a *sharded* set of atomics
-//! (8 shards, thread slot modulo 8) to avoid a single contended cache line.
+//! counters and flush once per transaction into their own *shard* of the
+//! partition's counters.
+//!
+//! ## Single-writer shards
+//!
+//! A partition has one cache-padded shard per thread slot of its `Stm`.
+//! An engine counter in shard *k* is written only by the thread holding
+//! slot *k*, so a relaxed load + store never loses an increment and the
+//! flush needs no locked instruction:
+//!
+//! * every engine bump site (`Tx`, `ReadTx`) passes its own slot, and a
+//!   partition is only ever touched by threads of its own `Stm` (the
+//!   `stm_id` assert at view creation), so slot *k* names one thread;
+//! * a slot has at most one holder at a time, and a slot handed to a new
+//!   thread passes through the `Stm`'s free-slot mutex, which orders the
+//!   old holder's last store before the new holder's first load.
+//!
+//! Readers ([`PartitionStats::snapshot`]) sum relaxed loads over the
+//! shards. Counters only grow, and the tuner tolerates a snapshot a few
+//! increments behind.
+//!
+//! **The control-plane exception.** `privatizations`,
+//! `privatize_rollbacks`, `republishes` and `privatize_hold_alarms` are
+//! bumped under slot 0 by whichever threads privatize, drop a guard or
+//! take the hold-alarm window, possibly several at once and alongside
+//! slot 0's own engine thread. These four keep an atomic `fetch_add`. They
+//! share slot 0's shard with its engine counters but no word, so neither
+//! kind of write can lose the other's counts.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
 /// Applies a macro to every statistics counter field. Single source of truth
-/// for the field list.
+/// for the field list. Each field names its writers: `owner` (only the
+/// slot's own thread) or `shared` (control-plane threads under slot 0; see
+/// the module docs).
 macro_rules! for_each_stat {
     ($mac:ident) => {
         $mac!(
             /// Transaction attempts that touched the partition.
-            starts,
+            starts: owner,
             /// Committed transactions that touched the partition.
-            commits,
+            commits: owner,
             /// Commits that performed no write in this partition.
-            ro_commits,
+            ro_commits: owner,
             /// Commits that wrote this partition.
-            update_commits,
+            update_commits: owner,
             /// Aborts caused by a write-locked orec in this partition.
-            aborts_wlock,
+            aborts_wlock: owner,
             /// Aborts caused by writer-vs-visible-reader arbitration.
-            aborts_rlock,
+            aborts_rlock: owner,
             /// Aborts caused by failed validation / snapshot extension.
-            aborts_validation,
+            aborts_validation: owner,
             /// Aborts caused by a remote kill.
-            aborts_killed,
+            aborts_killed: owner,
             /// Aborts caused by an in-progress configuration switch.
-            aborts_switching,
+            aborts_switching: owner,
             /// Aborts requested by user code.
-            aborts_user,
+            aborts_user: owner,
             /// Transactional reads served from this partition.
-            reads,
+            reads: owner,
             /// Transactional writes into this partition.
-            writes,
+            writes: owner,
             /// Successful snapshot extensions attributed to this partition.
-            extensions,
+            extensions: owner,
             /// Reader kills issued by writers in this partition.
-            kills_issued,
+            kills_issued: owner,
             /// Conflict aborts whose orec acquisition hint named the touched address (true data conflicts; see `orec::Orec::hint`).
-            conflicts_true,
+            conflicts_true: owner,
             /// Conflict aborts whose hint named a different address (orec aliasing, i.e. false conflicts — the resize signal).
-            conflicts_aliased,
+            conflicts_aliased: owner,
             /// Snapshot (read-only fast path) transactions committed against this partition.
-            snapshot_commits,
+            snapshot_commits: owner,
             /// Snapshot transaction restarts (switch collision or user retry — never a data conflict; see `crate::snapshot`).
-            snapshot_restarts,
+            snapshot_restarts: owner,
             /// Reads served to snapshot transactions from this partition.
-            snapshot_reads,
+            snapshot_reads: owner,
             /// Snapshot reads that were served from a version-ring/overflow record rather than the live cell.
-            snapshot_history_reads,
+            snapshot_history_reads: owner,
             /// Committed-version records diverted to the overflow list because the ring victim was still reader-protected.
-            ring_overflow_pushes,
+            ring_overflow_pushes: owner,
             /// Completed privatizations of this partition (flag→quiesce window won and a `PrivateGuard` was handed out).
-            privatizations,
+            privatizations: shared,
             /// Privatization attempts rolled back because quiescence timed out (config word restored exactly).
-            privatize_rollbacks,
+            privatize_rollbacks: shared,
             /// Republish events: a `PrivateGuard` returned the partition to transactional service under gen+1.
-            republishes,
+            republishes: shared,
             /// Transactional attempts that aborted against a *privatized* (not merely switching) partition.
-            privatized_collisions,
+            privatized_collisions: owner,
             /// Hold-age alarms: windows in which a `PrivateGuard` on this partition was observed held past the configured threshold (see `crate::privatize::set_hold_alarm_threshold`).
-            privatize_hold_alarms
+            privatize_hold_alarms: shared
         );
     };
 }
 
 macro_rules! define_counters {
-    ($(#[$doc:meta] $f:ident),+ $(,)?) => {
+    ($(#[$doc:meta] $f:ident: $w:ident),+ $(,)?) => {
         /// Plain (non-atomic) snapshot of the partition counters.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct StatCounters {
@@ -134,25 +162,54 @@ macro_rules! define_counters {
 
 for_each_stat!(define_counters);
 
-const SHARDS: usize = 8;
+/// Adds `n` to one shard counter: a plain load + store for an `owner`
+/// counter, an atomic RMW for a `shared` one (module docs).
+macro_rules! bump {
+    (owner, $c:expr, $n:expr) => {{
+        let c = &$c;
+        c.store(
+            c.load(Ordering::Relaxed).wrapping_add($n),
+            Ordering::Relaxed,
+        );
+    }};
+    (shared, $c:expr, $n:expr) => {{
+        $c.fetch_add($n, Ordering::Relaxed);
+    }};
+}
 
-/// Sharded atomic statistics for one partition.
-#[derive(Debug, Default)]
+/// Per-slot statistics shards for one partition.
+#[derive(Debug)]
 pub struct PartitionStats {
-    shards: [CachePadded<StatShard>; SHARDS],
+    shards: Box<[CachePadded<StatShard>]>,
+}
+
+impl PartitionStats {
+    /// Counters for a partition of an `Stm` with `slots` thread slots.
+    pub fn new(slots: usize) -> Self {
+        PartitionStats {
+            shards: (0..slots)
+                .map(|_| CachePadded::new(StatShard::default()))
+                .collect(),
+        }
+    }
+}
+
+impl Default for PartitionStats {
+    /// Sized for [`MAX_THREADS`](crate::MAX_THREADS) slots.
+    fn default() -> Self {
+        PartitionStats::new(crate::MAX_THREADS)
+    }
 }
 
 macro_rules! define_bump {
-    ($(#[$doc:meta] $f:ident),+ $(,)?) => {
+    ($(#[$doc:meta] $f:ident: $w:ident),+ $(,)?) => {
         impl PartitionStats {
             $(
                 #[$doc]
                 #[inline]
                 pub fn $f(&self, slot: usize, n: u64) {
                     if n != 0 {
-                        self.shards[slot % SHARDS]
-                            .$f
-                            .fetch_add(n, Ordering::Relaxed);
+                        bump!($w, self.shards[slot].$f, n);
                     }
                 }
             )+
@@ -161,7 +218,7 @@ macro_rules! define_bump {
             /// are monotonically increasing; tuning tolerates slight skew).
             pub fn snapshot(&self) -> StatCounters {
                 let mut acc = StatCounters::default();
-                for s in &self.shards {
+                for s in self.shards.iter() {
                     acc = acc.add(&s.snapshot());
                 }
                 acc
@@ -308,5 +365,71 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(s.snapshot().commits, 80_000);
+    }
+
+    /// Slots 0 and 8 each own a shard. Sharding by `slot % 8` would put
+    /// them in one, where single-writer bumps lose counts.
+    #[test]
+    fn slots_zero_and_eight_own_separate_shards() {
+        use std::sync::Arc;
+        const N: u64 = 200_000;
+        let s = Arc::new(PartitionStats::new(16));
+        let handles: Vec<_> = [0usize, 8]
+            .into_iter()
+            .map(|slot| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for _ in 0..N {
+                        s.commits(slot, 1);
+                        s.reads(slot, 3);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.commits, 2 * N);
+        assert_eq!(snap.reads, 6 * N);
+    }
+
+    /// The control-plane exception (module docs): two control-plane
+    /// threads bump `privatizations` and `republishes` under slot 0 while
+    /// slot 0's engine thread bumps its own counters. No count is lost.
+    #[test]
+    fn control_plane_bumps_under_slot_zero_lose_nothing() {
+        use std::sync::Arc;
+        const N: u64 = 200_000;
+        let s = Arc::new(PartitionStats::new(2));
+        let engine = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                for _ in 0..N {
+                    s.commits(0, 1);
+                    s.reads(0, 2);
+                }
+            })
+        };
+        let control: Vec<_> = (0..2)
+            .map(|_| {
+                let s = Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for _ in 0..N {
+                        s.privatizations(0, 1);
+                        s.republishes(0, 1);
+                    }
+                })
+            })
+            .collect();
+        engine.join().unwrap();
+        for h in control {
+            h.join().unwrap();
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.commits, N);
+        assert_eq!(snap.reads, 2 * N);
+        assert_eq!(snap.privatizations, 2 * N);
+        assert_eq!(snap.republishes, 2 * N);
     }
 }

@@ -288,7 +288,7 @@ impl Stm {
     /// Creates a new partition with the given configuration.
     pub fn new_partition(&self, cfg: PartitionConfig) -> Arc<Partition> {
         let id = PartitionId(self.inner.next_partition.fetch_add(1, Ordering::Relaxed));
-        let p = Partition::new(id, self.inner.id, &cfg);
+        let p = Partition::new(id, self.inner.id, self.inner.slots.len(), &cfg);
         self.inner.partitions.lock().push(Arc::clone(&p));
         p
     }

@@ -68,6 +68,25 @@
 //! a resize are additionally *parked*, never freed, so even a stale orec
 //! pointer could only read stale telemetry, never freed memory.)
 //!
+//! **Views borrow their partition.** A view holds a `*const Partition`,
+//! not an `Arc`: cloning the `Arc` at first touch and dropping it at the
+//! next begin would cost two contended RMWs on the partition's refcount
+//! line per touched partition per attempt, which the protocol does not
+//! need. The pointer is dereferenced only inside the [`ThreadCtx::run`]
+//! (or `snapshot_read`) call that created the view, including the
+//! post-commit tuning hook, and the pointee outlives that call:
+//!
+//! * raw tier: the caller's `&'e Arc<Partition>` outlives the call;
+//! * bound tier: the pointer was loaded from a `&'e PVarBinding`. The
+//!   binding owns a strong reference to its current partition while it
+//!   lives, and `rebind` parks every earlier reference in a process-wide
+//!   retired list, never dropped, so a pointer the binding has since
+//!   moved away from stays valid too (see [`crate::pvar`]).
+//!
+//! Stale pointers left in the view table after the call are cleared by
+//! the next begin without being read. The `stm_id` assert at view creation
+//! still rejects a partition of another `Stm`.
+//!
 //! ## Aliasing telemetry
 //!
 //! On every conflict abort where the engine knows both the address it was
@@ -168,8 +187,8 @@ struct WriteEntry {
 /// the module docs for why that is sound); every later access resolves to
 /// this cached snapshot.
 struct PartView {
-    part: Arc<Partition>,
-    /// `Arc::as_ptr(&part)`, cached for the MRU fast-path comparison.
+    /// The viewed partition, borrowed for the attempt (module docs); also
+    /// the key of the MRU fast-path comparison.
     ptr: *const Partition,
     cfg: DynConfig,
     /// Orec-table base pointer, snapshotted with `mask` at view creation
@@ -189,6 +208,17 @@ struct PartView {
     generation: u32,
     stats: LocalStats,
     wrote: bool,
+}
+
+impl PartView {
+    /// The viewed partition. Dereferenced only inside the attempt (or the
+    /// `run` call) that created the view; see the module docs for why the
+    /// pointee outlives it.
+    #[inline(always)]
+    fn part(&self) -> &Partition {
+        // SAFETY: module docs, "Partition views".
+        unsafe { &*self.ptr }
+    }
 }
 
 /// Type-erased deferred arena operation (see [`crate::arena`]).
@@ -491,7 +521,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// once, decodes it and records the view. Aborts if the partition is
     /// mid-switch. See the module docs for why one decode per attempt is
     /// sound.
-    fn view_create(&mut self, part: Arc<Partition>) -> Result<u16, Abort> {
+    fn view_create(&mut self, part: &'e Partition) -> Result<u16, Abort> {
         assert_eq!(
             part.stm_id, self.stm.id,
             "partition belongs to a different Stm"
@@ -510,7 +540,7 @@ impl<'e, 's> Tx<'e, 's> {
             self.s.engine_fail = true;
             return Err(Abort(()));
         }
-        let ptr = Arc::as_ptr(&part);
+        let ptr: *const Partition = part;
         // Snapshot the orec-table registers *after* observing the flag
         // clear: the resize protocol swaps them only inside a flagged
         // window our attempt provably does not straddle (module docs).
@@ -518,7 +548,6 @@ impl<'e, 's> Tx<'e, 's> {
         let (ring, ring_depth) = part.ring_view();
         let i = self.s.views.len() as u32;
         self.s.views.push(PartView {
-            part,
             ptr,
             cfg: config::decode(word),
             table,
@@ -541,7 +570,7 @@ impl<'e, 's> Tx<'e, 's> {
         if let Some(i) = self.view_lookup(ptr) {
             return Ok(i);
         }
-        self.view_create(Arc::clone(part))
+        self.view_create(part)
     }
 
     /// Resolves the partition view for a bound variable from its binding
@@ -567,7 +596,7 @@ impl<'e, 's> Tx<'e, 's> {
         if let Some(i) = self.view_lookup(ptr) {
             return Ok(i);
         }
-        let ti = self.view_create(PVarBinding::arc_of(ptr))?;
+        let ti = self.view_create(binding.partition_at(ptr))?;
         if binding.load() != ptr {
             return Err(self.fail(ti, AbortKind::Switching));
         }
@@ -594,7 +623,7 @@ impl<'e, 's> Tx<'e, 's> {
     /// Records an abort cause against a partition and flags the attempt as
     /// engine-failed. Returns the `Abort` token to propagate.
     fn fail(&mut self, ti: u16, kind: AbortKind) -> Abort {
-        let st = &self.s.views[ti as usize].part.stats;
+        let st = &self.s.views[ti as usize].part().stats;
         match kind {
             AbortKind::WLockConflict => st.aborts_wlock(self.slot, 1),
             AbortKind::RLockConflict => st.aborts_rlock(self.slot, 1),
@@ -783,8 +812,8 @@ impl<'e, 's> Tx<'e, 's> {
         orec: *const Orec,
         cell: *const AtomicU64,
     ) -> Result<u64, Abort> {
-        // SAFETY: `orec` points into the partition's table, kept alive by
-        // the `Arc` in `views[ti]` for the rest of the attempt; `cell`
+        // SAFETY: `orec` points into the partition's table, alive for the
+        // attempt with the partition `views[ti]` borrows; `cell`
         // outlives `'e` by the signature of `read`.
         let orec_ref = unsafe { &*orec };
         loop {
@@ -1256,7 +1285,7 @@ impl<'e, 's> Tx<'e, 's> {
                 // SAFETY: orec alive via the touched partition.
                 unsafe { &*orec }.ring_publish_begin();
                 self.s.views[ti as usize]
-                    .part
+                    .part()
                     .overflow_push(addr, old, wv, *floor);
                 // SAFETY: as above.
                 unsafe { &*orec }.ring_publish_end();
@@ -1284,7 +1313,7 @@ impl<'e, 's> Tx<'e, 's> {
         #[cfg(debug_assertions)]
         for t in &self.s.views {
             debug_assert_eq!(
-                config::generation(t.part.config_word()),
+                config::generation(t.part().config_word()),
                 t.generation,
                 "partition config switched mid-attempt (quiesce protocol violated)"
             );
@@ -1304,7 +1333,7 @@ impl<'e, 's> Tx<'e, 's> {
         }
         self.my_slot().seq.fetch_add(1, Ordering::SeqCst); // -> even
         for t in &self.s.views {
-            let st = &t.part.stats;
+            let st = &t.part().stats;
             st.starts(self.slot, 1);
             st.commits(self.slot, 1);
             if t.wrote {
@@ -1356,7 +1385,7 @@ impl<'e, 's> Tx<'e, 's> {
             .views
             .iter()
             .map(|t| SampleTouch {
-                partition: t.part.id(),
+                partition: t.part().id(),
                 reads: t.stats.reads,
                 writes: t.stats.writes,
                 buckets: Vec::new(),
@@ -1415,8 +1444,9 @@ impl<'e, 's> Tx<'e, 's> {
         }
         self.my_slot().seq.fetch_add(1, Ordering::SeqCst); // -> even
         for t in &self.s.views {
-            t.part.stats.starts(self.slot, 1);
-            t.stats.flush(&t.part.stats, self.slot);
+            let st = &t.part().stats;
+            st.starts(self.slot, 1);
+            t.stats.flush(st, self.slot);
         }
         self.s.in_attempt = false;
         self.s.attempts += 1;
@@ -1475,21 +1505,21 @@ impl<'e, 's> Tx<'e, 's> {
     }
 
     /// Post-commit tuning hook: bump per-partition gates and, when a window
-    /// fills, evaluate the installed policy and apply its decision.
+    /// fills, evaluate the installed policy and apply its decision. Takes
+    /// the tuner lock once, and only if some touched partition is tunable.
     fn after_commit_tuning(&mut self) {
-        for i in 0..self.s.views.len() {
-            let part = Arc::clone(&self.s.views[i].part);
+        if !self.s.views.iter().any(|v| v.part().tunable) {
+            return;
+        }
+        let Some(tuner) = self.stm.tuner.read().clone() else {
+            return;
+        };
+        let window = tuner.window().max(1);
+        for v in &self.s.views {
+            let part = v.part();
             if !part.tunable {
                 continue;
             }
-            let tuner = {
-                let guard = self.stm.tuner.read();
-                match &*guard {
-                    Some(t) => Arc::clone(t),
-                    None => return,
-                }
-            };
-            let window = tuner.window().max(1);
             let n = part.tune_gate.fetch_add(1, Ordering::Relaxed) + 1;
             if n < window {
                 continue;
@@ -1516,7 +1546,7 @@ impl<'e, 's> Tx<'e, 's> {
             if let Some(new_cfg) = tuner.evaluate(&input) {
                 // Contended/TimedOut switches are fine to drop here: the
                 // tuner re-evaluates after the next window.
-                let _ = self.stm.switch_partition(&part, new_cfg);
+                let _ = self.stm.switch_partition(part, new_cfg);
             }
         }
     }
@@ -1589,7 +1619,7 @@ impl ThreadCtx {
                 Err(_) => {
                     if !tx.s.engine_fail {
                         if let Some(t) = tx.s.views.first() {
-                            t.part.stats.aborts_user(tx.slot, 1);
+                            t.part().stats.aborts_user(tx.slot, 1);
                         }
                     }
                     tx.rollback();

@@ -492,3 +492,31 @@ fn allocating_a_slot_freed_after_the_snapshot_extends_once() {
     assert_eq!(p.stats().extensions - before, 1);
     assert_eq!(p.stats().aborts_validation, 0);
 }
+
+/// Partition views borrow their partition: touching it in an update or a
+/// snapshot transaction, through the bound or the raw tier, leaves its
+/// reference count alone, during the attempt and after commit.
+#[test]
+fn transactions_leave_the_partition_refcount_alone() {
+    let stm = Stm::new();
+    let p = stm.new_partition(PartitionConfig::named("a"));
+    let bound = p.tvar(1u64);
+    let raw = TVar::new(2u64);
+    let ctx = stm.register_thread();
+    let before = Arc::strong_count(&p);
+    ctx.run(|tx| {
+        let v = tx.read(&bound)? + tx.read_raw(&p, &raw)?;
+        tx.write(&bound, v)?;
+        tx.write_raw(&p, &raw, v)?;
+        assert_eq!(Arc::strong_count(&p), before, "update attempt");
+        Ok(())
+    });
+    assert_eq!(Arc::strong_count(&p), before, "after update commit");
+    let sum = ctx.snapshot_read(|tx| {
+        let v = tx.read(&bound)? + tx.read_raw(&p, &raw)?;
+        assert_eq!(Arc::strong_count(&p), before, "snapshot attempt");
+        Ok(v)
+    });
+    assert_eq!(sum, 6);
+    assert_eq!(Arc::strong_count(&p), before, "after snapshot commit");
+}
